@@ -13,6 +13,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -46,7 +47,7 @@ cluster
   --slot-ms MS         management slot (default 1000)
 
 site (multi-zone; see docs/SITE.md)
-  --zones N            zone count (default 1 = classic single cluster;
+  --zones N            zone count (default 1 = one standalone cluster;
                        >= 2 puts N identical zones behind a global LB,
                        each with --servers servers and its own scheme)
   --glb POLICY         weighted | least-loaded | affinity (default
@@ -54,7 +55,7 @@ site (multi-zone; see docs/SITE.md)
   --divider KIND       static | demand | headroom — how the facility
                        budget is split across zones (default static)
   --attack-zone Z      concentrate attack traffic on zone Z's front
-                       door instead of the global LB
+                       door instead of the global LB (Z < --zones)
 
 scheme
   --scheme NAME        none | capping | shaving | token | antidope
@@ -327,6 +328,11 @@ int main(int argc, char** argv) {
       fail("unknown flag: " + flag);
     }
   }
+  if (config.attack_zone >= static_cast<int>(config.num_zones)) {
+    fail("--attack-zone " + std::to_string(config.attack_zone) +
+         " needs --zones above it (have " +
+         std::to_string(config.num_zones) + ")");
+  }
 
   if (sweep_mode) {
     sweep::GridSpec grid;
@@ -397,7 +403,12 @@ int main(int argc, char** argv) {
     config.trace_cap = trace_cap;
   }
 
-  const auto r = scenario::run_scenario(config);
+  scenario::ScenarioResult r;
+  try {
+    r = scenario::run_scenario(config);
+  } catch (const std::invalid_argument& e) {
+    fail(e.what());  // a config the simulator rejects (e.g. --servers 0)
+  }
 
   std::cout << "== dopesim: " << r.scheme << " @ " << r.budget.value()
             << " W, "

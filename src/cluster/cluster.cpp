@@ -63,7 +63,7 @@ void Cluster::bind_obs() {
 
 Cluster::~Cluster() { slot_task_.stop(); }
 
-void Cluster::install_scheme(std::unique_ptr<PowerScheme> scheme) {
+void Cluster::install_scheme(std::unique_ptr<ControlStage> scheme) {
   DOPE_REQUIRE(scheme != nullptr, "scheme must not be null");
   control_.install(std::move(scheme));
 }

@@ -12,14 +12,13 @@
 // The Cluster itself is the composition root: it owns the three planes,
 // the request metrics, and the management-slot periodic that drives
 // `power.run_slot` followed by `control.on_slot`. Schemes and tests reach
-// the planes through `data()` / `power()` / `control()`; the legacy
-// accessors (`servers()`, `budget()`, `battery()`, ...) delegate and are
-// kept so the narrow-interface refactor stays source-compatible.
+// the planes through `data()` / `power()` / `control()`; the shorthand
+// accessors (`servers()`, `budget()`, `battery()`, ...) delegate to them.
 //
-// Inside a `site::Site` each zone is one Cluster with `config.zone >= 0`;
-// zone-labelled metrics, trace fields, and watchdog signal suffixes are
-// emitted only then, so a standalone cluster's exports are byte-identical
-// to the pre-plane layout.
+// Inside a multi-zone `site::Site` each zone is one Cluster with
+// `config.zone >= 0`; zone-labelled metrics, trace fields, and watchdog
+// signal suffixes are emitted only then, so a standalone cluster (and a
+// 1-zone site) keeps its exports byte-identical to the pre-plane layout.
 #pragma once
 
 #include <memory>
@@ -80,7 +79,8 @@ struct ClusterConfig {
   Duration reboot_time = 10 * kSecond;
   /// Default NLB policy when no control stage routes.
   net::LbPolicy lb_policy = net::LbPolicy::kLeastLoaded;
-  /// Zone index inside a `site::Site`; -1 for a standalone cluster.
+  /// Zone index inside a multi-zone `site::Site`; -1 for a standalone
+  /// cluster or the lone zone of a 1-zone site.
   /// When >= 0 every metric, trace event, span, and watchdog signal the
   /// cluster emits carries the zone.
   int zone = -1;
@@ -109,10 +109,7 @@ class Cluster {
 
   /// Installs `scheme` as the *only* control stage (replacing any
   /// existing stack). Equivalent to `control().install(...)`.
-  void install_scheme(std::unique_ptr<PowerScheme> scheme);
-  /// First stage of the control pipeline (nullptr when empty); kept for
-  /// single-scheme callers. Multi-stage users go through `control()`.
-  PowerScheme* scheme() { return control_.front(); }
+  void install_scheme(std::unique_ptr<ControlStage> scheme);
 
   // --- request path ---
   /// Edge entry point for generated traffic.

@@ -55,10 +55,6 @@ ControlStage* ControlPlane::stage(std::size_t i) {
   return stages_[i].get();
 }
 
-ControlStage* ControlPlane::front() {
-  return stages_.empty() ? nullptr : stages_.front().get();
-}
-
 bool ControlPlane::admit(const workload::Request& request) {
   for (auto& stage : stages_) {
     if (!stage->admit(request)) return false;

@@ -1,6 +1,6 @@
 // Control plane: an ordered, deterministic pipeline of ControlStages.
 //
-// Replaces the historical single-`PowerScheme` slot hook. Stages are
+// Replaces the historical single-scheme slot hook. Stages are
 // invoked strictly in installation order at each plug point (admit /
 // route / on_slot), so two stacks that differ only in order are two
 // *different* — but each individually deterministic — control policies.
@@ -52,9 +52,6 @@ class ControlPlane {
   std::size_t size() const { return stages_.size(); }
   bool empty() const { return stages_.empty(); }
   ControlStage* stage(std::size_t i);
-  /// First stage, or nullptr when the pipeline is empty (legacy
-  /// `Cluster::scheme()` accessor).
-  ControlStage* front();
 
   // --- pipeline plug points (called by the data plane / slot loop) ---
   /// True when every stage admits, asked in order; the first refusal

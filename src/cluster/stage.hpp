@@ -82,8 +82,4 @@ class ControlStage {
   Cluster* cluster_ = nullptr;
 };
 
-/// Historical name: the paper's power-management schemes (Table 2) are
-/// control stages that actuate DVFS/battery in `on_slot`.
-using PowerScheme = ControlStage;
-
 }  // namespace dope::cluster

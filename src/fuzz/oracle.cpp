@@ -167,12 +167,15 @@ class Judge {
     // Slot statistics are internally consistent. (No ordering between
     // utility and demand violations: battery recharge rides on the
     // utility feed, so a recharging slot can breach on the utility side
-    // alone.)
+    // alone.) Site-level counts and downtime are summed over zones, so
+    // each zone contributes at most the run's slots and duration.
     const auto& slots = r.slot_stats;
-    if (slots.violation_slots > slots.slots ||
-        slots.utility_violation_slots > slots.slots ||
+    const std::uint64_t zone_slots = slots.slots * config.num_zones;
+    if (slots.violation_slots > zone_slots ||
+        slots.utility_violation_slots > zone_slots ||
         slots.worst_overshoot < Watts{-1e-9} || slots.downtime < 0 ||
-        slots.downtime > config.duration) {
+        slots.downtime >
+            config.duration * static_cast<Duration>(config.num_zones)) {
       detail << "slots=" << slots.slots
              << ", violations=" << slots.violation_slots
              << ", utility violations=" << slots.utility_violation_slots
@@ -189,22 +192,28 @@ class Judge {
       flag("phantom_attack", scheme, detail.str());
     }
 
-    // Multi-zone runs: the per-zone breakdown must be present, every
-    // zone's slice sane, and the site-level books must equal the sum of
-    // the zones' books (energy cannot appear or vanish between layers).
-    if (config.num_zones > 1) {
-      if (r.zones.size() != config.num_zones) {
-        detail << r.zones.size() << " zone breakdowns for "
-               << config.num_zones << " zones";
-        flag("zone_breakdown", scheme, detail.str());
-        return;
-      }
+    // Per-zone breakdown: one slice per zone of a multi-zone run and none
+    // for a 1-zone run (its totals are the zone's). Every slice must be
+    // sane, and the site-level books must equal the sum of the zones'
+    // books (energy and violations cannot appear or vanish between
+    // layers).
+    const std::size_t breakdowns =
+        config.num_zones > 1 ? config.num_zones : 0;
+    if (r.zones.size() != breakdowns) {
+      detail << r.zones.size() << " zone breakdowns for "
+             << config.num_zones << " zones";
+      flag("zone_breakdown", scheme, detail.str());
+      return;
+    }
+    if (!r.zones.empty()) {
       Joules zone_load{0.0};
       Watts zone_budgets{0.0};
+      std::uint64_t zone_violations = 0;
       for (std::size_t z = 0; z < r.zones.size(); ++z) {
         const auto& zone = r.zones[z];
         zone_load += zone.load_energy;
         zone_budgets += zone.budget;
+        zone_violations += zone.violation_slots;
         if (zone.availability < -1e-9 ||
             zone.availability > 1.0 + 1e-9 ||
             zone.load_energy < Joules{-1e-9} ||
@@ -218,6 +227,11 @@ class Judge {
           flag("zone_range", scheme, detail.str());
           break;
         }
+      }
+      if (zone_violations != slots.violation_slots) {
+        detail << "zone violation slots sum to " << zone_violations
+               << ", site reports " << slots.violation_slots;
+        flag("zone_violation_sum", scheme, detail.str());
       }
       // Site-level energy conservation: zones sum to the site books.
       const double site_scale = std::max(1.0, load.value());

@@ -38,7 +38,7 @@ inline constexpr SchemeKind kEvaluatedSchemes[] = {
 std::string scheme_name(SchemeKind kind);
 
 /// Instantiates a scheme (Anti-DOPE takes its own sub-config).
-std::unique_ptr<cluster::PowerScheme> make_scheme(
+std::unique_ptr<cluster::ControlStage> make_scheme(
     SchemeKind kind, const antidope::AntiDopeConfig& antidope_config = {});
 
 /// One scripted chaos event: server `server` suffers a hard power loss
@@ -93,11 +93,12 @@ struct ScenarioConfig {
   std::vector<NodeOutage> node_outages;
 
   // --- multi-zone site (docs/SITE.md) ---
-  /// Zone count. 1 runs the classic single-cluster scenario (exports
-  /// stay byte-identical to the pre-site layout); >= 2 stands up a
-  /// `site::Site` of identical zones — each with `num_servers` servers,
-  /// the cluster settings above, and its own copy of `scheme` — behind
-  /// the global load balancer below.
+  /// Zone count. The run always stands up a `site::Site` of identical
+  /// zones — each with `num_servers` servers, the cluster settings above,
+  /// and its own copy of `scheme` — behind the global load balancer
+  /// below. With 1 zone the site is a plain standalone cluster (no zone
+  /// labels, GLB hop, or divider), so exports stay byte-identical to the
+  /// pre-site layout.
   std::size_t num_zones = 1;
   /// Per-zone GLB/divider weights; empty means all 1.0. When non-empty
   /// the size must equal `num_zones`.
@@ -109,7 +110,8 @@ struct ScenarioConfig {
   Duration reapportion_period = 5 * kSecond;
   /// When >= 0, attack traffic enters through this zone's regional
   /// front door instead of the global balancer — the zone-concentrated
-  /// DOPE flood (ignored in single-cluster runs).
+  /// DOPE flood. Must be below `num_zones` (0 is the only valid zone of a
+  /// 1-zone run, where it is the same door as the balancer's).
   int attack_zone = -1;
 
   // --- run ---
@@ -200,7 +202,9 @@ struct ScenarioResult {
   std::vector<metrics::Sample> battery_soc_timeline;
   Joules battery_discharged{0.0};
 
-  // Energy and enforcement.
+  // Energy and enforcement. Over several zones the slot counts, outages
+  // and downtime are summed zone by zone (so they can exceed the run's
+  // slot count), while `slots` and `worst_overshoot` are the maxima.
   metrics::EnergyAccount energy;
   cluster::SlotStats slot_stats;
 
@@ -209,7 +213,8 @@ struct ScenarioResult {
   GHz final_mean_frequency{0.0};
   std::size_t min_level_seen = 0;
 
-  /// Per-zone breakdown, in zone order. Empty for single-cluster runs.
+  /// Per-zone breakdown, in zone order. Empty for 1-zone runs, where it
+  /// would only repeat the totals above.
   std::vector<ZoneBreakdown> zones;
 };
 

@@ -139,13 +139,22 @@ Site::Site(sim::Engine& engine, const workload::Catalog& catalog,
            SiteConfig config)
     : engine_(engine), config_((validate(config), std::move(config))) {
   const std::size_t n = config_.zones.size();
+  // A lone zone is a standalone cluster: unlabelled, provisioned with the
+  // facility budget directly, and never touched by the GLB or divider.
+  const bool lone = n == 1;
   zones_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     cluster::ClusterConfig zone_config = config_.zones[i].cluster;
-    zone_config.zone = static_cast<int>(i);
+    if (lone) {
+      if (config_.facility_budget > Watts{0.0}) {
+        zone_config.budget_override = config_.facility_budget;
+      }
+    } else {
+      zone_config.zone = static_cast<int>(i);
+    }
     zones_.push_back(std::make_unique<cluster::Cluster>(
         engine_, catalog, std::move(zone_config)));
-    zones_.back()->add_record_listener(request_metrics_.sink());
+    if (!lone) zones_.back()->add_record_listener(request_metrics_.sink());
   }
 
   facility_budget_ = config_.facility_budget;
@@ -156,6 +165,11 @@ Site::Site(sim::Engine& engine, const workload::Catalog& catalog,
   }
 
   wrr_current_.assign(n, 0.0);
+
+  if (lone) {
+    zone_budgets_.assign(1, zones_[0]->power().budget());
+    return;
+  }
 
   if (obs::Hub* hub = engine_.obs(); hub != nullptr) {
     auto& reg = hub->registry();
@@ -201,6 +215,7 @@ std::vector<ZoneSignal> Site::signals() const {
 }
 
 void Site::reapportion() {
+  if (zones_.size() == 1) return;  // a lone zone keeps the whole budget
   apply_budgets(divide_budget(config_.divider, facility_budget_, signals()));
 }
 
@@ -312,6 +327,8 @@ void Site::ingest(workload::Request&& request) {
 }
 
 workload::RequestSink Site::edge_sink() {
+  // The GLB would always pick zone 0: skip the hop.
+  if (zones_.size() == 1) return zone_sink(0);
   return [this](workload::Request&& request) {
     this->ingest(std::move(request));
   };

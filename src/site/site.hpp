@@ -17,6 +17,11 @@
 // inflates one zone's demand past its share, so a per-zone capping stage
 // throttles the victim zone while the rest of the site keeps serving at
 // full frequency (see docs/SITE.md).
+//
+// A 1-zone site is a standalone cluster: the zone stays unlabelled
+// (`zone == -1`), takes the facility budget as its own, and gets no GLB
+// hop, divider periodic, site instruments, or site request recorder —
+// so a 1-zone run is event-for-event the plain cluster run.
 #pragma once
 
 #include <cstddef>
@@ -129,7 +134,8 @@ class Site {
   /// Edge entry point: the global load balancer picks a zone and hands
   /// the request to that zone's data plane.
   void ingest(workload::Request&& request);
-  /// Sink adapter for TrafficGenerator (site must outlive it).
+  /// Sink adapter for TrafficGenerator (site must outlive it). A 1-zone
+  /// site returns its zone's sink.
   workload::RequestSink edge_sink();
   /// Pinned sink bypassing the GLB — models traffic that enters through
   /// one zone's regional front door (zone-concentrated DOPE floods).
@@ -145,13 +151,19 @@ class Site {
   const std::vector<Watts>& zone_budgets() const { return zone_budgets_; }
   /// Recomputes shares from live zone signals and applies them through
   /// each zone's power plane. Also runs on the reapportion periodic.
+  /// A no-op for a 1-zone site, whose zone keeps the whole budget.
   void reapportion();
-  /// Times the divider has run (including the constructor's first pass).
+  /// Times the divider has run (including the constructor's first pass;
+  /// always 0 for a 1-zone site).
   std::uint64_t reapportion_count() const { return reapportions_; }
 
   // --- metrics ---
-  /// Site-wide request metrics (every zone's terminal records fold in).
-  metrics::RequestMetrics& request_metrics() { return request_metrics_; }
+  /// Site-wide request metrics (every zone's terminal records fold in);
+  /// a 1-zone site hands out its zone's own recorder.
+  metrics::RequestMetrics& request_metrics() {
+    return zones_.size() == 1 ? zones_[0]->request_metrics()
+                              : request_metrics_;
+  }
   /// Sum of the zones' energy accounts — site-level conservation holds
   /// exactly: aggregate load energy == sum of zone load energies.
   metrics::EnergyAccount aggregate_energy() const;

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "antidope/antidope.hpp"
+#include "obs/hub.hpp"
+#include "obs/timeseries.hpp"
 #include "scenario/scenario.hpp"
 #include "schemes/hierarchical.hpp"
 #include "site/site.hpp"
@@ -299,6 +303,85 @@ TEST_F(SiteTest, StacksAntiDopeAndHierCappingInOneZone) {
   EXPECT_GT(site->zone(0).request_metrics().total_terminal(), 0u);
 }
 
+// ------------------------------------------------------- 1-zone Site
+
+TEST(LoneZoneSite, IsAPlainStandaloneCluster) {
+  // A 1-zone site must be event-for-event the cluster it wraps: same
+  // pending periodics (no divider), same instruments (no site.* series,
+  // no zone labels), same request path (no GLB hop), same metrics.
+  const Catalog catalog = Catalog::standard();
+  obs::HubConfig hub_config;
+  hub_config.enable_timeseries = true;
+  obs::Hub site_hub(hub_config);
+  obs::Hub cluster_hub(hub_config);
+  sim::Engine site_engine;
+  sim::Engine cluster_engine;
+  site_engine.set_obs(&site_hub);
+  cluster_engine.set_obs(&cluster_hub);
+
+  SiteConfig config;
+  config.zones.resize(1);
+  config.zones[0].cluster.num_servers = 2;
+  config.divider = DividerKind::kHeadroomAware;
+  config.facility_budget = Watts{150.0};
+  Site site(site_engine, catalog, config);
+  cluster::ClusterConfig bare_config = config.zones[0].cluster;
+  bare_config.budget_override = Watts{150.0};
+  cluster::Cluster bare(cluster_engine, catalog, bare_config);
+
+  EXPECT_EQ(site.zone(0).zone(), workload::ServerRef::kNoZone);
+  EXPECT_EQ(site_engine.pending(), cluster_engine.pending());
+  EXPECT_EQ(site.reapportion_count(), 0u);
+  // The facility budget is the zone's own, never run through a divider.
+  EXPECT_EQ(site.facility_budget(), Watts{150.0});
+  EXPECT_EQ(site.zone(0).budget(), Watts{150.0});
+  ASSERT_EQ(site.zone_budgets().size(), 1u);
+  EXPECT_EQ(site.zone_budgets()[0], Watts{150.0});
+
+  std::ostringstream site_json;
+  std::ostringstream cluster_json;
+  site_hub.registry().write_json(site_json);
+  cluster_hub.registry().write_json(cluster_json);
+  EXPECT_EQ(site_json.str().find("site."), std::string::npos);
+  EXPECT_EQ(site_json.str(), cluster_json.str());
+  EXPECT_EQ(site_hub.timeseries()->find("site.zone_budget_w.zone0"),
+            nullptr);
+
+  EXPECT_EQ(&site.request_metrics(), &site.zone(0).request_metrics());
+  auto site_sink = site.edge_sink();
+  auto bare_sink = bare.edge_sink();
+  for (int i = 0; i < 3; ++i) {
+    site_sink(request_of(Catalog::kTextCont, site_engine.now()));
+    bare_sink(request_of(Catalog::kTextCont, cluster_engine.now()));
+  }
+  site.run_for(2 * kSecond);
+  bare.run_for(2 * kSecond);
+  EXPECT_EQ(site.zone(0).request_metrics().normal_counts().completed, 3u);
+  EXPECT_EQ(site.request_metrics().completed_by_zone().at(
+                workload::ServerRef::kNoZone),
+            3u);
+  EXPECT_EQ(site_engine.executed(), cluster_engine.executed());
+  EXPECT_EQ(site.reapportion_count(), 0u);
+}
+
+TEST(LoneZoneSite, ScenarioAttackZoneZeroIsTheEdge) {
+  // With one zone, zone 0's front door and the GLB are the same door.
+  scenario::ScenarioConfig config;
+  config.scheme = scenario::SchemeKind::kCapping;
+  config.budget = power::BudgetLevel::kLow;
+  config.attack_rps = 200.0;
+  config.duration = 10 * kSecond;
+  const auto via_edge = scenario::run_scenario(config);
+  config.attack_zone = 0;
+  const auto via_zone = scenario::run_scenario(config);
+  EXPECT_TRUE(via_edge.zones.empty());
+  EXPECT_EQ(via_edge.normal_counts.terminal(),
+            via_zone.normal_counts.terminal());
+  EXPECT_EQ(via_edge.energy.utility, via_zone.energy.utility);
+  EXPECT_EQ(via_edge.slot_stats.violation_slots,
+            via_zone.slot_stats.violation_slots);
+}
+
 // ------------------------------------------- scenario-level acceptance
 
 TEST(SiteScenario, ZoneConcentratedAttackThrottlesOnlyTheVictim) {
@@ -341,6 +424,10 @@ TEST(SiteScenario, ValidatesSiteArguments) {
 
   config.zone_weights.clear();
   config.attack_zone = 5;  // out of range
+  EXPECT_THROW(scenario::run_scenario(config), std::invalid_argument);
+
+  config.num_zones = 1;  // a 1-zone run has only zone 0
+  config.attack_zone = 1;
   EXPECT_THROW(scenario::run_scenario(config), std::invalid_argument);
 }
 

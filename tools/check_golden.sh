@@ -4,7 +4,9 @@
 # Runs the CI golden scenario (Anti-DOPE, Low budget, 400 rps flood,
 # 2-minute battery, seed 42 — the same configuration as
 # tests/determinism_test.cpp) and cmp's every export surface against the
-# pre-refactor captures in tests/golden/. Any refactor that claims
+# pre-refactor captures in tests/golden/. The same scenario on a two-zone
+# site (flood through zone 0's front door, demand divider) is compared
+# against the site2_* captures. Any refactor that claims
 # "performance/typing changes, results do not" (the event-core rewrite,
 # the Quantity<Dim> units migration) must keep this green: a single
 # changed byte means the arithmetic — not just the types — changed.
@@ -62,9 +64,22 @@ compare "$tmp/att-power.csv" "$golden/engine_refactor_power.csv"
 compare "$tmp/att-soc.csv" "$golden/engine_refactor_soc.csv"
 compare "$tmp/att-metrics.json" "$golden/engine_refactor_metrics.json"
 
+# Multi-zone surfaces: GLB routing, the budget divider, zone labels and
+# the per-zone summary all feed these.
+"$cli" --scheme antidope --budget low --attack-rps 400 --duration-s 60 \
+  --seed 42 --battery-min 2 --zones 2 --attack-zone 0 --divider demand \
+  --csv "$tmp/site2.csv" --power-csv "$tmp/site2-power.csv" \
+  --soc-csv "$tmp/site2-soc.csv" --metrics-out "$tmp/site2-metrics.json"
+
+compare "$tmp/site2.csv" "$golden/site2_results.csv"
+compare "$tmp/site2-power.csv" "$golden/site2_power.csv"
+compare "$tmp/site2-soc.csv" "$golden/site2_soc.csv"
+compare "$tmp/site2-metrics.json" "$golden/site2_metrics.json"
+
 if [[ "$status" -ne 0 ]]; then
   echo "check_golden: exports drifted from tests/golden/ captures" >&2
   exit 1
 fi
 echo "check_golden: all 5 export surfaces byte-identical" \
-  "(detached and with the flight recorder attached)"
+  "(detached and with the flight recorder attached), and the 4 two-zone" \
+  "site surfaces"

@@ -92,7 +92,7 @@ RULES = {
 # there must be inline-stored (common::InlineFunction / FunctionRef).
 HOT_PATH_DIRS = ("src/sim", "src/server", "src/workload", "src/net")
 
-# Directories that hold control stages (PowerScheme implementations and
+# Directories that hold control stages (power-scheme implementations and
 # the Anti-DOPE pipeline). Code here runs *inside* the control plane and
 # must see the cluster only through its plane interfaces.
 STAGE_PLANE_DIRS = ("src/schemes", "src/antidope")
