@@ -1,9 +1,13 @@
 // Google-benchmark microbenchmarks of the simulator's hot paths: event
-// engine throughput, server queueing, generator arrival scheduling, and
-// end-to-end scenario cost. These bound how large a cluster/window the
-// harness can sweep.
+// engine throughput, server queueing, least-loaded picks, generator
+// arrival scheduling, and end-to-end scenario cost. These bound how large
+// a cluster/window the harness can sweep.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
+#include "net/load_balancer.hpp"
 #include "scenario/scenario.hpp"
 #include "server/node.hpp"
 #include "sim/engine.hpp"
@@ -146,6 +150,37 @@ void BM_DvfsRetiming(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DvfsRetiming);
+
+void BM_LeastLoadedPick(benchmark::State& state) {
+  // One least-loaded pick over a pool of real ServerNodes, the PDF pools'
+  // per-request cost. Loads are spread over 1..5 by never-finishing
+  // requests, so the scan sees mixed keys and no event ever fires.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto catalog = workload::Catalog::standard();
+  const auto ladder = power::DvfsLadder::make();
+  sim::Engine engine;
+  std::vector<std::unique_ptr<server::ServerNode>> nodes;
+  std::vector<net::Backend*> pool;
+  for (std::size_t i = 0; i < n; ++i) {
+    nodes.push_back(std::make_unique<server::ServerNode>(
+        engine, static_cast<int>(i), catalog,
+        power::ServerPowerModel({}, ladder), server::ServerConfig{},
+        [](const workload::RequestRecord&) {}));
+    for (std::size_t r = 0; r < 1 + (i * 7) % 5; ++r) {
+      workload::Request request;
+      request.size_factor = 1e9;
+      nodes.back()->submit(std::move(request));
+    }
+    pool.push_back(nodes.back().get());
+  }
+  net::LoadBalancer lb(net::LbPolicy::kLeastLoaded, pool);
+  const workload::Request request;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lb.select(request));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LeastLoadedPick)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_ScenarioMinute(benchmark::State& state) {
   // End-to-end cost of one simulated minute of the evaluation cluster.

@@ -26,7 +26,7 @@ AntiDopeScheme::AntiDopeScheme(AntiDopeConfig config)
 
 void AntiDopeScheme::attach(cluster::Cluster& cluster) {
   ControlStage::attach(cluster);
-  auto nodes = cluster.data().servers();
+  const auto& nodes = cluster.data().servers();
   DOPE_REQUIRE(nodes.size() >= 2,
                "Anti-DOPE needs at least two servers to form pools");
 

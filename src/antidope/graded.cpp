@@ -25,7 +25,7 @@ void GradedAntiDopeScheme::attach(cluster::Cluster& cluster) {
   classifier_ = std::make_unique<PowerClassifier>(
       PowerClassifier::from_catalog(cluster.catalog(),
                                     config_.num_classes));
-  auto nodes = cluster.data().servers();
+  const auto& nodes = cluster.data().servers();
   DOPE_REQUIRE(nodes.size() >= config_.num_classes,
                "need at least one server per class");
 

@@ -58,7 +58,7 @@ double AutoScaler::utilization() const {
 }
 
 void AutoScaler::tick() {
-  auto nodes = cluster_->servers();
+  const auto& nodes = cluster_->servers();
 
   // Finish pending drains: park nodes whose work has run out.
   for (auto it = draining_.begin(); it != draining_.end();) {

@@ -126,7 +126,9 @@ class Cluster {
   const power::DvfsLadder& ladder() const { return config_.ladder; }
   /// Zone index inside a Site; -1 standalone.
   int zone() const { return config_.zone; }
-  std::vector<server::ServerNode*> servers() { return data_.servers(); }
+  const std::vector<server::ServerNode*>& servers() {
+    return data_.servers();
+  }
   server::ServerNode& server(std::size_t i) { return data_.server(i); }
   std::size_t num_servers() const { return data_.num_servers(); }
 

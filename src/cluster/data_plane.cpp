@@ -31,11 +31,13 @@ DataPlane::DataPlane(Cluster& owner, const ClusterConfig& config)
     owner_.on_record(r);
   };
   nodes_.reserve(config.num_servers);
+  servers_.reserve(config.num_servers);
   for (std::size_t i = 0; i < config.num_servers; ++i) {
     nodes_.push_back(std::make_unique<server::ServerNode>(
         engine, static_cast<int>(i), owner_.catalog(),
         power::ServerPowerModel(config.server_spec, config.ladder),
         config.server_config, sink, zone_));
+    servers_.push_back(nodes_.back().get());
   }
 
   if (config.network_switch.has_value()) {
@@ -45,11 +47,9 @@ DataPlane::DataPlane(Cluster& owner, const ClusterConfig& config)
     firewall_.emplace(engine, *config.firewall, zone_);
   }
 
-  std::vector<net::Backend*> pool;
-  pool.reserve(nodes_.size());
-  for (auto& n : nodes_) pool.push_back(n.get());
-  balancer_ =
-      std::make_unique<net::LoadBalancer>(config.lb_policy, std::move(pool));
+  balancer_ = std::make_unique<net::LoadBalancer>(
+      config.lb_policy,
+      std::vector<net::Backend*>(servers_.begin(), servers_.end()));
 }
 
 void DataPlane::bind_obs(obs::Hub* hub) {
@@ -96,13 +96,6 @@ void DataPlane::sample_timeseries(Time now) {
     ts_firewall_bans_->sample(
         now, static_cast<double>(firewall_->total_bans()));
   }
-}
-
-std::vector<server::ServerNode*> DataPlane::servers() {
-  std::vector<server::ServerNode*> out;
-  out.reserve(nodes_.size());
-  for (auto& n : nodes_) out.push_back(n.get());
-  return out;
 }
 
 server::ServerNode& DataPlane::server(std::size_t i) {

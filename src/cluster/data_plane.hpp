@@ -55,7 +55,8 @@ class DataPlane {
   DataPlane& operator=(const DataPlane&) = delete;
 
   // --- server pool ---
-  std::vector<server::ServerNode*> servers();
+  /// The fleet in index order, built once at construction.
+  const std::vector<server::ServerNode*>& servers() { return servers_; }
   server::ServerNode& server(std::size_t i);
   std::size_t num_servers() const { return nodes_.size(); }
 
@@ -101,6 +102,7 @@ class DataPlane {
   Cluster& owner_;
   int zone_;
   std::vector<std::unique_ptr<server::ServerNode>> nodes_;
+  std::vector<server::ServerNode*> servers_;
   std::optional<net::Switch> switch_;
   std::optional<net::Firewall> firewall_;
   std::unique_ptr<net::LoadBalancer> balancer_;

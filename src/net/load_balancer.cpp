@@ -1,6 +1,5 @@
 #include "net/load_balancer.hpp"
 
-#include <limits>
 #include <string>
 
 #include "common/expect.hpp"
@@ -68,14 +67,15 @@ Backend* LoadBalancer::do_select(const workload::Request& request) {
       return nullptr;
     }
     case LbPolicy::kLeastLoaded: {
+      // Strict `<` from kRefusing: refusing backends never win, and ties
+      // go to the lowest pool index.
       Backend* best = nullptr;
-      std::size_t best_load = std::numeric_limits<std::size_t>::max();
+      std::uint32_t best_key = Backend::kRefusing;
       for (Backend* b : pool_) {
-        if (!b->accepting()) continue;
-        const std::size_t l = b->load();
-        if (l < best_load) {
+        const std::uint32_t key = b->lb_key();
+        if (key < best_key) {
           best = b;
-          best_load = l;
+          best_key = key;
         }
       }
       return best;

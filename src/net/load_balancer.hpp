@@ -43,7 +43,8 @@ class LoadBalancer {
   LbPolicy policy() const { return policy_; }
 
   /// Picks a backend for the request, skipping non-accepting nodes.
-  /// Returns nullptr when no backend accepts.
+  /// Returns nullptr when no backend accepts. Least-loaded compares
+  /// `Backend::lb_key()`, lowest pool index on ties.
   Backend* select(const workload::Request& request);
 
   /// Dispatches: select + submit. Returns false when no backend accepted

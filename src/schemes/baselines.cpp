@@ -29,7 +29,7 @@ void CappingScheme::on_slot(Time now, Duration slot) {
   (void)now;
   (void)slot;
   DOPE_ASSERT(attached_);
-  auto nodes = cluster_->data().servers();
+  const auto& nodes = cluster_->data().servers();
   const Watts budget = cluster_->power().budget();
   const Watts demand = cluster_->data().total_power();
   const auto& ladder = cluster_->ladder();
@@ -76,7 +76,7 @@ void ShavingScheme::attach(cluster::Cluster& cluster) {
 
 void ShavingScheme::on_slot(Time now, Duration slot) {
   (void)now;
-  auto nodes = cluster_->data().servers();
+  const auto& nodes = cluster_->data().servers();
   const Watts budget = cluster_->power().budget();
   // Sense the worse of the instantaneous reading and the just-finished
   // slot's average so intra-slot load growth stays off the utility feed.

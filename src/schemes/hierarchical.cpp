@@ -23,7 +23,7 @@ HierarchicalCappingScheme::HierarchicalCappingScheme(
 void HierarchicalCappingScheme::attach(cluster::Cluster& cluster) {
   ControlStage::attach(cluster);
   topology_.validate(cluster.data().num_servers());
-  auto nodes = cluster.data().servers();
+  const auto& nodes = cluster.data().servers();
   rack_nodes_.clear();
   rack_target_.clear();
   for (const auto& pdu : topology_.pdus) {
@@ -56,7 +56,7 @@ void HierarchicalCappingScheme::detach() {
 void HierarchicalCappingScheme::on_slot(Time now, Duration slot) {
   (void)slot;
   const auto& ladder = cluster_->ladder();
-  auto nodes = cluster_->data().servers();
+  const auto& nodes = cluster_->data().servers();
   std::vector<Watts> per_server;
   per_server.reserve(nodes.size());
   for (auto* node : nodes) per_server.push_back(node->current_power());

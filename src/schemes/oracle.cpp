@@ -14,7 +14,7 @@ OracleScheme::OracleScheme(double isolation_fraction)
 
 void OracleScheme::attach(cluster::Cluster& cluster) {
   ControlStage::attach(cluster);
-  auto nodes = cluster.data().servers();
+  const auto& nodes = cluster.data().servers();
   DOPE_REQUIRE(nodes.size() >= 2, "Oracle needs at least two servers");
   const auto k = std::clamp<std::size_t>(
       static_cast<std::size_t>(

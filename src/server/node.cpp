@@ -28,10 +28,14 @@ ServerNode::ServerNode(sim::Engine& engine, int id,
       last_energy_update_(engine.now()) {
   DOPE_REQUIRE(sink_ != nullptr, "server needs a record sink");
   DOPE_REQUIRE(config_.queue_capacity > 0, "queue capacity must be positive");
+  // cores <= kRefusing (both 32-bit), so the subtraction cannot wrap.
+  DOPE_REQUIRE(config_.queue_capacity < kRefusing - slots_.size(),
+               "cores + queue capacity must stay below the refusing key");
   if (engine_.obs() != nullptr) spans_ = engine_.obs()->spans();
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     free_mask_[i / 64] |= std::uint64_t{1} << (i % 64);
   }
+  publish_key();
   refresh_power();
 }
 
@@ -117,6 +121,7 @@ void ServerNode::submit(workload::Request&& request) {
   }
   span_queue_begin(request);
   queue_.push_back(std::move(request));
+  publish_key();
 }
 
 void ServerNode::begin_service(std::size_t slot_index,
@@ -137,6 +142,7 @@ void ServerNode::begin_service(std::size_t slot_index,
       std::max<Duration>(duration, 1),
       [this, slot_index] { finish_service(slot_index); });
   ++active_count_;
+  publish_key();
   span_service_begin(slot.request, slot_index,
                      model_.request_power(profile.power, level_));
   refresh_power();
@@ -148,6 +154,7 @@ void ServerNode::finish_service(std::size_t slot_index) {
   slot.busy = false;
   release_slot(slot_index);
   --active_count_;
+  publish_key();
   const Duration latency = engine_.now() - slot.request.arrival;
   ++counters_.completed;
   span_service_end(slot.request, "completed");
@@ -160,6 +167,7 @@ void ServerNode::drain_queue() {
   while (active_count_ < slots_.size() && !queue_.empty()) {
     workload::Request next = std::move(queue_.front());
     queue_.pop_front();
+    publish_key();
     if (config_.queue_deadline > 0 &&
         engine_.now() - next.arrival > config_.queue_deadline) {
       ++counters_.timed_out;
@@ -243,6 +251,7 @@ void ServerNode::park() {
   }
   integrate_energy();
   parked_ = true;
+  publish_key();
   current_power_ = model_.spec().sleep_power;
 }
 
@@ -253,10 +262,12 @@ void ServerNode::unpark() {
   integrate_energy();
   parked_ = false;
   waking_ = true;
+  publish_key();
   current_power_ = model_.idle_power(level_);
   wake_event_ = engine_.schedule_after(
       std::max<Duration>(config_.wake_latency, 0), [this] {
         waking_ = false;
+        publish_key();
         refresh_power();
       });
 }
@@ -267,6 +278,7 @@ void ServerNode::power_off() {
   if (waking_) {
     engine_.cancel(wake_event_);
     waking_ = false;
+    publish_key();
   }
   // Everything in flight is lost.
   for (std::size_t i = 0; i < slots_.size(); ++i) {
@@ -276,6 +288,7 @@ void ServerNode::power_off() {
     slot.busy = false;
     release_slot(i);
     --active_count_;
+    publish_key();
     span_service_end(slot.request, "outage");
     emit(slot.request, workload::RequestOutcome::kFailedOutage,
          engine_.now() - slot.request.arrival);
@@ -285,10 +298,12 @@ void ServerNode::power_off() {
     emit(queue_.front(), workload::RequestOutcome::kFailedOutage,
          engine_.now() - queue_.front().arrival);
     queue_.pop_front();
+    publish_key();
   }
   DOPE_ASSERT(active_count_ == 0);
   powered_off_ = true;
   parked_ = false;
+  publish_key();
   current_power_ = Watts{0.0};
 }
 
@@ -298,9 +313,11 @@ void ServerNode::power_on(Duration boot_time) {
   integrate_energy();
   powered_off_ = false;
   waking_ = true;
+  publish_key();
   current_power_ = model_.idle_power(level_);  // boot draw
   wake_event_ = engine_.schedule_after(boot_time, [this] {
     waking_ = false;
+    publish_key();
     refresh_power();
   });
 }

@@ -109,7 +109,10 @@ class ServerNode final : public net::Backend {
   unsigned active_count() const { return active_count_; }
   unsigned cores() const { return model_.spec().cores; }
   const ServerCounters& counters() const { return counters_; }
-  void set_accepting(bool accepting) { accepting_ = accepting; }
+  void set_accepting(bool accepting) {
+    accepting_ = accepting;
+    publish_key();
+  }
 
   // --- sleep states (PowerNap-style; used by the auto-scaler) ---
   /// Puts an *idle* node into deep sleep: power drops to the spec's
@@ -141,6 +144,13 @@ class ServerNode final : public net::Backend {
     sim::EventId completion = 0;
   };
 
+  /// Republishes the least-loaded key (net/backend.hpp). Called after
+  /// every change of load or accepting state, before any record or span
+  /// close that could run a pick.
+  void publish_key() {
+    publish_lb_key(accepting() ? static_cast<std::uint32_t>(load())
+                               : kRefusing);
+  }
   void begin_service(std::size_t slot_index, workload::Request&& request);
   void finish_service(std::size_t slot_index);
   void drain_queue();
