@@ -1,13 +1,17 @@
 // Google-benchmark microbenchmarks of the simulator's hot paths: event
 // engine throughput, server queueing, least-loaded picks, generator
-// arrival scheduling, and end-to-end scenario cost. These bound how large
-// a cluster/window the harness can sweep.
+// arrival scheduling, span recording, incident-time forensics, and
+// end-to-end scenario cost. These bound how large a cluster/window the
+// harness can sweep.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <vector>
 
 #include "net/load_balancer.hpp"
+#include "obs/forensics.hpp"
+#include "obs/span.hpp"
+#include "obs/trace.hpp"
 #include "scenario/scenario.hpp"
 #include "server/node.hpp"
 #include "sim/engine.hpp"
@@ -181,6 +185,90 @@ void BM_LeastLoadedPick(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LeastLoadedPick)->Arg(8)->Arg(64)->Arg(512);
+
+void BM_SpanRequestLifecycle(benchmark::State& state) {
+  // The spans one forwarded request records: root begin, firewall and LB
+  // instants, service begin/end, root end. Each iteration fills a fresh
+  // tracer with a batch of requests, so block reservation and the first
+  // touch of the log's pages are paid as a real run pays them.
+  constexpr std::uint64_t kBatch = 16'384;
+  std::uint64_t request = 0;
+  for (auto _ : state) {
+    obs::SpanTracer tracer;
+    for (std::uint64_t i = 0; i < kBatch; ++i, ++request) {
+      const Time t = static_cast<Time>(request) * 100;
+      obs::Span root;
+      root.id = obs::span_id_for(request, obs::SpanKind::kRequest);
+      root.kind = obs::SpanKind::kRequest;
+      root.begin = t;
+      root.source_id = static_cast<std::uint32_t>(request % 320);
+      tracer.begin(root);
+      obs::Span child = root;
+      child.parent = root.id;
+      child.kind = obs::SpanKind::kFirewall;
+      child.id = obs::span_id_for(request, child.kind);
+      tracer.instant(child, t);
+      child.kind = obs::SpanKind::kLbPick;
+      child.id = obs::span_id_for(request, child.kind);
+      tracer.instant(child, t);
+      child.kind = obs::SpanKind::kService;
+      child.id = obs::span_id_for(request, child.kind);
+      child.begin = t;
+      tracer.begin(child);
+      tracer.end(child.id, t + 50, "completed");
+      tracer.end(root.id, t + 50, "completed");
+    }
+    benchmark::DoNotOptimize(tracer.spans().size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_SpanRequestLifecycle);
+
+void BM_ForensicsSnapshot(benchmark::State& state) {
+  // One incident-time forensics snapshot after `Arg` spans are logged:
+  // 320 sources, 3 classes, a violation every 10k spans, and 64 requests
+  // still open at the capture. The closed prefix is folded once before
+  // timing, so the cost should not grow with Arg.
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  obs::SpanTracer spans(obs::SpanConfig{.max_spans = n + 1024});
+  obs::TraceRecorder trace;
+  Time t = 0;
+  for (std::uint64_t request = 0; 2 * request < n; ++request, t += 100) {
+    obs::Span root;
+    root.id = obs::span_id_for(request, obs::SpanKind::kRequest);
+    root.kind = obs::SpanKind::kRequest;
+    root.begin = t;
+    root.source_id = static_cast<std::uint32_t>(request % 320);
+    root.url_class = static_cast<std::uint32_t>(request % 3);
+    spans.begin(root);
+    obs::Span service = root;
+    service.parent = root.id;
+    service.kind = obs::SpanKind::kService;
+    service.id = obs::span_id_for(request, service.kind);
+    service.power_w = Watts{10.0 + static_cast<double>(request % 7)};
+    spans.begin(service);
+    if (2 * request + 128 < n) {
+      spans.end(service.id, t + 50, "completed");
+      spans.end(root.id, t + 50, "completed");
+    }
+    if (request % 5000 == 0) {
+      obs::TraceEvent e;
+      e.t = t;
+      e.type = obs::EventType::kBudgetViolation;
+      trace.record(std::move(e));
+    }
+  }
+  obs::ForensicsBuilder builder;
+  builder.advance(spans, trace, t);
+  for (auto _ : state) {
+    const obs::Forensics f = builder.snapshot(spans, trace, t);
+    benchmark::DoNotOptimize(f.total_joules());
+  }
+  state.counters["suffix_spans"] =
+      static_cast<double>(spans.spans().size() - builder.watermark());
+}
+BENCHMARK(BM_ForensicsSnapshot)->Arg(10'000)->Arg(1'000'000);
 
 void BM_ScenarioMinute(benchmark::State& state) {
   // End-to-end cost of one simulated minute of the evaluation cluster.

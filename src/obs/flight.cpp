@@ -10,7 +10,6 @@
 #include <string_view>
 #include <utility>
 
-#include "obs/forensics.hpp"
 #include "obs/json.hpp"
 
 namespace dope::obs {
@@ -179,11 +178,19 @@ void FlightRecorder::capture(Time t, const char* trigger,
   }
   out << ']';
 
+  // Fold the spans that closed since the last capture; everything
+  // below the watermark is closed, so the open-span scan starts there.
+  if (spans_ != nullptr && trace_ != nullptr) {
+    forensics_.advance(*spans_, *trace_, t);
+  }
+
   out << ",\n      \"open_spans\": [";
   std::size_t open_total = 0;
   if (spans_ != nullptr) {
+    const SpanLog& log = spans_->spans();
     std::size_t listed = 0;
-    for (const Span& span : spans_->spans()) {
+    for (std::size_t i = forensics_.watermark(); i < log.size(); ++i) {
+      const Span& span = log[i];
       if (!span.open()) continue;
       ++open_total;
       if (listed >= config_.open_span_cap) continue;
@@ -198,7 +205,7 @@ void FlightRecorder::capture(Time t, const char* trigger,
 
   out << ",\n      \"forensics\": ";
   if (spans_ != nullptr && trace_ != nullptr) {
-    const Forensics forensics = Forensics::build(*spans_, *trace_, t);
+    const Forensics forensics = forensics_.snapshot(*spans_, *trace_, t);
     out << "{\"total_joules\": ";
     write_json_number(out, forensics.total_joules().value());
     out << ", \"violation_events\": " << forensics.violation_events()

@@ -11,7 +11,9 @@
 //              `--dump-incident-at` request;
 //   snapshot:  every TimeSeriesStore ring (obs/timeseries.hpp), the
 //              last-N trace events, the spans still open, and the
-//              forensics top-K suspect ranking at that instant;
+//              forensics top-K suspect ranking at that instant
+//              (each capture folds only the spans that closed since
+//              the previous one: obs/forensics.hpp ForensicsBuilder);
 //   output:    one self-contained, schema-versioned *incident bundle*
 //              JSON (docs/OBSERVABILITY.md) that `dopereport` turns
 //              into a markdown post-mortem.
@@ -32,6 +34,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "obs/forensics.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
@@ -131,6 +134,8 @@ class FlightRecorder {
   /// Fully rendered incident JSON objects, in capture order. Rendered
   /// at trigger time — the rings keep moving afterwards.
   std::vector<std::string> incidents_;
+  /// Per-source rollup of the spans closed before the last capture.
+  ForensicsBuilder forensics_;
   std::uint64_t triggers_ = 0;
   std::uint64_t deduped_ = 0;
   std::uint64_t dropped_ = 0;

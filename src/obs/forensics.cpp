@@ -1,7 +1,6 @@
 #include "obs/forensics.hpp"
 
 #include <algorithm>
-#include <map>
 #include <ostream>
 #include <string_view>
 
@@ -9,106 +8,145 @@
 
 namespace dope::obs {
 
-namespace {
-
-/// Build-time accumulator; std::map keeps every iteration deterministic.
-struct SourceAccum {
-  SourceStats stats;
-  std::map<std::uint32_t, Joules> class_joules;
-  std::map<std::uint32_t, std::uint64_t> class_requests;
-  std::map<std::int32_t, Joules> zone_joules;
-};
-
-}  // namespace
-
 Forensics Forensics::build(const SpanTracer& spans,
                            const TraceRecorder& trace, Time horizon) {
-  Forensics out;
+  return ForensicsBuilder{}.snapshot(spans, trace, horizon);
+}
 
-  // Violation instants, in trace (= time) order, for binary search.
-  std::vector<Time> violations;
-  for (const TraceEvent& e : trace.events()) {
-    if (e.type == EventType::kBudgetViolation) violations.push_back(e.t);
+void ForensicsBuilder::read_violations(const TraceRecorder& trace) {
+  const auto& events = trace.events();
+  for (; trace_cursor_ < events.size(); ++trace_cursor_) {
+    const TraceEvent& e = events[trace_cursor_];
+    if (e.type == EventType::kBudgetViolation) violations_.push_back(e.t);
   }
-  out.violation_events_ = violations.size();
+}
 
+void ForensicsBuilder::fold(const Span& span, Time horizon) {
+  const std::size_t slot = index_.insert(span.source_id, sources_.size());
+  if (slot == sources_.size()) {
+    sources_.emplace_back().stats.source_id = span.source_id;
+  }
+  SourceAccum& a = sources_[slot];
+  const auto class_accum = [&a](std::uint32_t url_class) -> ClassAccum& {
+    for (ClassAccum& c : a.classes) {
+      if (c.url_class == url_class) return c;
+    }
+    return a.classes.emplace_back(ClassAccum{.url_class = url_class});
+  };
+  const auto zone_accum = [&a](std::int32_t zone) -> ZoneAccum& {
+    for (ZoneAccum& z : a.zones) {
+      if (z.zone == zone) return z;
+    }
+    return a.zones.emplace_back(ZoneAccum{.zone = zone});
+  };
+  switch (span.kind) {
+    case SpanKind::kRequest: {
+      ++a.stats.requests;
+      ++class_accum(span.url_class).requests;
+      if (std::string_view(span.outcome) == "completed") {
+        ++a.stats.completed;
+      }
+      break;
+    }
+    case SpanKind::kService: {
+      const Time end = span.open() ? horizon : span.end;
+      const Duration held = std::max<Duration>(end - span.begin, 0);
+      const Joules joules = span.power_w * held;
+      a.stats.joules += joules;
+      a.stats.occupancy_ms += to_seconds(held) * 1e3;
+      class_accum(span.url_class).joules += joules;
+      if (span.zone >= 0) zone_accum(span.zone).joules += joules;
+      const auto lo = std::lower_bound(violations_.begin(),
+                                       violations_.end(), span.begin);
+      const auto hi =
+          std::upper_bound(violations_.begin(), violations_.end(), end);
+      a.stats.violation_overlaps += static_cast<std::uint64_t>(hi - lo);
+      break;
+    }
+    case SpanKind::kFirewall:
+    case SpanKind::kLbPick:
+    case SpanKind::kQueue:
+      break;
+  }
+}
+
+void ForensicsBuilder::advance(const SpanTracer& spans,
+                               const TraceRecorder& trace, Time now) {
+  read_violations(trace);
+  const SpanLog& log = spans.spans();
+  for (; watermark_ < log.size(); ++watermark_) {
+    const Span& span = log[watermark_];
+    if (span.open() || span.end >= now) break;
+    latest_ = std::max({latest_, span.begin, span.end});
+    fold(span, span.end);
+  }
+}
+
+Forensics ForensicsBuilder::snapshot(const SpanTracer& spans,
+                                     const TraceRecorder& trace,
+                                     Time horizon) const {
+  ForensicsBuilder b = *this;
+  b.read_violations(trace);
+  const SpanLog& log = spans.spans();
   if (horizon < 0) {
-    for (const Span& span : spans.spans()) {
-      horizon = std::max(horizon, span.begin);
-      horizon = std::max(horizon, span.end);
+    horizon = std::max(horizon, latest_);
+    for (std::size_t i = watermark_; i < log.size(); ++i) {
+      horizon = std::max({horizon, log[i].begin, log[i].end});
     }
   }
-
-  std::map<std::uint32_t, SourceAccum> accum;
-  for (const Span& span : spans.spans()) {
-    SourceAccum& a = accum[span.source_id];
-    a.stats.source_id = span.source_id;
-    switch (span.kind) {
-      case SpanKind::kRequest: {
-        ++a.stats.requests;
-        ++a.class_requests[span.url_class];
-        if (std::string_view(span.outcome) == "completed") {
-          ++a.stats.completed;
-        }
-        break;
-      }
-      case SpanKind::kService: {
-        const Time end = span.open() ? horizon : span.end;
-        const Duration held = std::max<Duration>(end - span.begin, 0);
-        a.stats.joules += span.power_w * held;
-        a.stats.occupancy_ms += to_seconds(held) * 1e3;
-        a.class_joules[span.url_class] += span.power_w * held;
-        if (span.zone >= 0) {
-          a.zone_joules[span.zone] += span.power_w * held;
-        }
-        const auto lo = std::lower_bound(violations.begin(),
-                                         violations.end(), span.begin);
-        const auto hi =
-            std::upper_bound(violations.begin(), violations.end(), end);
-        a.stats.violation_overlaps +=
-            static_cast<std::uint64_t>(hi - lo);
-        break;
-      }
-      case SpanKind::kFirewall:
-      case SpanKind::kLbPick:
-      case SpanKind::kQueue:
-        break;
-    }
+  for (std::size_t i = watermark_; i < log.size(); ++i) {
+    b.fold(log[i], horizon);
   }
 
-  out.sources_.reserve(accum.size());
-  for (auto& [source_id, a] : accum) {
+  Forensics out;
+  out.violation_events_ = b.violations_.size();
+  out.sources_.reserve(b.sources_.size());
+  for (SourceAccum& a : b.sources_) {
     // Dominant class: by joules when the source reached a slot at all,
-    // by request count otherwise. std::map order makes ties break to the
+    // by request count otherwise. Class order makes ties break to the
     // lower class id.
+    std::sort(a.classes.begin(), a.classes.end(),
+              [](const ClassAccum& x, const ClassAccum& y) {
+                return x.url_class < y.url_class;
+              });
     Joules best_j{0.0};
-    for (const auto& [cls, j] : a.class_joules) {
-      if (j > best_j) {
-        best_j = j;
-        a.stats.dominant_class = cls;
+    for (const ClassAccum& c : a.classes) {
+      if (c.joules > best_j) {
+        best_j = c.joules;
+        a.stats.dominant_class = c.url_class;
       }
     }
     if (best_j <= Joules{0.0}) {
       std::uint64_t best_n = 0;
-      for (const auto& [cls, n] : a.class_requests) {
-        if (n > best_n) {
-          best_n = n;
-          a.stats.dominant_class = cls;
+      for (const ClassAccum& c : a.classes) {
+        if (c.requests > best_n) {
+          best_n = c.requests;
+          a.stats.dominant_class = c.url_class;
         }
       }
     }
     // Dominant zone mirrors the class logic (joules only — a request
-    // that never reached a slot has no zone attribution). std::map
-    // order breaks ties to the lower zone index.
+    // that never reached a slot has no zone attribution); ties break to
+    // the lower zone index.
+    std::sort(a.zones.begin(), a.zones.end(),
+              [](const ZoneAccum& x, const ZoneAccum& y) {
+                return x.zone < y.zone;
+              });
     Joules best_zone_j{0.0};
-    for (const auto& [zone, j] : a.zone_joules) {
-      if (j > best_zone_j) {
-        best_zone_j = j;
-        a.stats.dominant_zone = zone;
+    for (const ZoneAccum& z : a.zones) {
+      if (z.joules > best_zone_j) {
+        best_zone_j = z.joules;
+        a.stats.dominant_zone = z.zone;
       }
     }
-    out.total_joules_ += a.stats.joules;
     out.sources_.push_back(a.stats);
+  }
+  std::sort(out.sources_.begin(), out.sources_.end(),
+            [](const SourceStats& x, const SourceStats& y) {
+              return x.source_id < y.source_id;
+            });
+  for (const SourceStats& s : out.sources_) {
+    out.total_joules_ += s.joules;
   }
   return out;
 }

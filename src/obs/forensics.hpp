@@ -9,12 +9,14 @@
 // URL-class suspect list: a real DOPE botnet's top sources all carry a
 // suspicious dominant URL class.
 //
-// Built after the run from an attached `SpanTracer` + `TraceRecorder`;
-// never touches the simulation.
+// Built from an attached `SpanTracer` + `TraceRecorder` — after the run,
+// or mid-run by the flight recorder through a `ForensicsBuilder` that
+// folds each span once; never touches the simulation.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <vector>
 
 #include "common/units.hpp"
@@ -53,6 +55,7 @@ class Forensics {
   /// Aggregates `spans` against `trace`'s BudgetViolation instants. Open
   /// spans are clamped to `horizon` (the run duration); a negative
   /// horizon clamps to the latest time observed in the span log.
+  /// Same as `ForensicsBuilder{}.snapshot(spans, trace, horizon)`.
   static Forensics build(const SpanTracer& spans, const TraceRecorder& trace,
                          Time horizon = -1);
 
@@ -70,9 +73,72 @@ class Forensics {
   void write_json(std::ostream& out) const;
 
  private:
+  friend class ForensicsBuilder;
+
   std::vector<SourceStats> sources_;
   Joules total_joules_{0.0};
   std::uint64_t violation_events_ = 0;
+};
+
+/// Incremental `Forensics`: the per-source accumulators of a closed
+/// prefix of the span log, so repeated snapshots of a growing log (one
+/// per flight-recorder incident) fold each span once instead of
+/// re-folding the whole run each time.
+///
+/// A span that closed before `now` is final: it never changes again,
+/// and every BudgetViolation recorded from `now` on has t >= now > end,
+/// so its overlap count is final too. `advance` folds the leading run
+/// of such spans (the *watermark* marks where it stops); `snapshot`
+/// folds the rest on a copy. Each source's sums are added in span-index
+/// order either way, so a snapshot equals a fresh full fold bit for bit.
+class ForensicsBuilder {
+ public:
+  /// Picks up the BudgetViolation instants recorded since the last call,
+  /// then folds spans from the watermark on while they are closed with
+  /// end < `now`. `now` is the current sim time: no violation recorded
+  /// later may be earlier than it.
+  void advance(const SpanTracer& spans, const TraceRecorder& trace,
+               Time now);
+
+  /// The rollup over all of `spans` and every stored violation in
+  /// `trace`: the folded prefix plus the spans from the watermark on,
+  /// open ones clamped to `horizon` (negative: the latest time in the
+  /// span log). Leaves the builder unchanged.
+  Forensics snapshot(const SpanTracer& spans, const TraceRecorder& trace,
+                     Time horizon = -1) const;
+
+  /// Spans [0, watermark) are folded; all of them are closed.
+  std::size_t watermark() const { return watermark_; }
+
+ private:
+  struct ClassAccum {
+    std::uint32_t url_class = 0;
+    Joules joules{0.0};
+    std::uint64_t requests = 0;
+  };
+  struct ZoneAccum {
+    std::int32_t zone = 0;
+    Joules joules{0.0};
+  };
+  struct SourceAccum {
+    SourceStats stats;
+    std::vector<ClassAccum> classes;
+    std::vector<ZoneAccum> zones;
+  };
+
+  void read_violations(const TraceRecorder& trace);
+  void fold(const Span& span, Time horizon);
+
+  /// Source id -> index into sources_ (first-seen order).
+  FlatIndex index_;
+  std::vector<SourceAccum> sources_;
+  /// BudgetViolation instants, in trace (= time) order.
+  std::vector<Time> violations_;
+  /// Trace events already scanned for violations.
+  std::size_t trace_cursor_ = 0;
+  std::size_t watermark_ = 0;
+  /// Latest begin/end over the folded prefix.
+  Time latest_ = std::numeric_limits<Time>::min();
 };
 
 }  // namespace dope::obs

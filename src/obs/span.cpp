@@ -26,20 +26,19 @@ void SpanTracer::begin(Span span) {
   ++counts_[static_cast<std::size_t>(span.kind)];
   if (spans_.size() >= config_.max_spans) return;
   span.end = -1;
-  open_[span.id] = spans_.size();
+  open_.assign(span.id, spans_.size());
   spans_.push_back(span);
 }
 
 void SpanTracer::end(std::uint64_t id, Time t, const char* outcome) {
-  const auto it = open_.find(id);
-  if (it == open_.end()) {
+  const std::size_t index = open_.take(id);
+  if (index == FlatIndex::kNone) {
     ++unmatched_ends_;
     return;
   }
-  Span& span = spans_[it->second];
+  Span& span = spans_[index];
   span.end = t;
   span.outcome = outcome;
-  open_.erase(it);
 }
 
 void SpanTracer::instant(Span span, Time t) {

@@ -19,9 +19,11 @@
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <unordered_map>
+#include <iterator>
 #include <vector>
 
 #include "common/units.hpp"
@@ -75,6 +77,159 @@ struct Span {
   bool open() const { return end < 0; }
 };
 
+/// Open-addressing map from a 64-bit key to an index: linear probing,
+/// backward-shift deletion (no tombstones), doubling at load 0.5. It
+/// allocates nothing until the first insert. Lookup only — it has no
+/// iteration, so slot order cannot leak into any output.
+class FlatIndex {
+ public:
+  /// "Absent"; never a stored value.
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  std::size_t size() const { return size_; }
+
+  /// Stores `value` for `key`, replacing any previous value.
+  void assign(std::uint64_t key, std::size_t value) {
+    claim(key).value = value;
+  }
+
+  /// Stores `value` for `key` unless the key is present; returns the
+  /// stored value either way.
+  std::size_t insert(std::uint64_t key, std::size_t value) {
+    Slot& slot = claim(key);
+    if (slot.value == kNone) slot.value = value;
+    return slot.value;
+  }
+
+  /// Removes `key` and returns its value, or kNone when it is absent.
+  std::size_t take(std::uint64_t key) {
+    if (size_ == 0) return kNone;
+    std::size_t hole = home(key);
+    for (;; hole = (hole + 1) & mask()) {
+      const Slot& slot = slots_[hole];
+      if (slot.value == kNone) return kNone;
+      if (slot.key == key) break;
+    }
+    const std::size_t value = slots_[hole].value;
+    // Backward shift: pull each later entry of the cluster into the
+    // hole when the hole lies on its probe path (home .. its slot).
+    for (std::size_t j = (hole + 1) & mask();; j = (j + 1) & mask()) {
+      const Slot& slot = slots_[j];
+      if (slot.value == kNone) break;
+      if (((j - home(slot.key)) & mask()) >= ((j - hole) & mask())) {
+        slots_[hole] = slot;
+        hole = j;
+      }
+    }
+    slots_[hole].value = kNone;
+    --size_;
+    return value;
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t key = 0;
+    std::size_t value = kNone;
+  };
+
+  std::size_t mask() const { return slots_.size() - 1; }
+  /// Fibonacci hashing: the top bits of key * 2^64/phi.
+  std::size_t home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                    shift_);
+  }
+
+  /// The slot holding `key`, or a fresh empty slot reserved for it
+  /// (value kNone, counted in size_) that the caller fills.
+  Slot& claim(std::uint64_t key) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    std::size_t i = home(key);
+    for (;; i = (i + 1) & mask()) {
+      Slot& slot = slots_[i];
+      if (slot.value == kNone) break;
+      if (slot.key == key) return slot;
+    }
+    ++size_;
+    slots_[i].key = key;
+    return slots_[i];
+  }
+
+  void grow() {
+    std::vector<Slot> old(slots_.empty() ? 16 : 2 * slots_.size());
+    old.swap(slots_);
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots_.size()));
+    for (const Slot& slot : old) {
+      if (slot.value == kNone) continue;
+      std::size_t i = home(slot.key);
+      while (slots_[i].value != kNone) i = (i + 1) & mask();
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+  unsigned shift_ = 64;
+};
+
+/// The span log: fixed blocks of 2^14 spans, each reserved when the
+/// first span lands in it. Appending never copies earlier spans or
+/// moves them in memory, and an empty log holds no span storage.
+class SpanLog {
+ public:
+  static constexpr std::size_t kBlockBits = 14;
+  static constexpr std::size_t kBlockSpans = std::size_t{1} << kBlockBits;
+
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Span;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Span*;
+    using reference = const Span&;
+
+    const_iterator() = default;
+    const_iterator(const SpanLog* log, std::size_t i) : log_(log), i_(i) {}
+    reference operator*() const { return (*log_)[i_]; }
+    pointer operator->() const { return &(*log_)[i_]; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator==(const const_iterator& other) const {
+      return i_ == other.i_;
+    }
+    bool operator!=(const const_iterator& other) const {
+      return i_ != other.i_;
+    }
+
+   private:
+    const SpanLog* log_ = nullptr;
+    std::size_t i_ = 0;
+  };
+
+  std::size_t size() const { return size_; }
+  const Span& operator[](std::size_t i) const {
+    return blocks_[i >> kBlockBits][i & (kBlockSpans - 1)];
+  }
+  Span& operator[](std::size_t i) {
+    return blocks_[i >> kBlockBits][i & (kBlockSpans - 1)];
+  }
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, size_}; }
+
+  void push_back(const Span& span) {
+    if ((size_ & (kBlockSpans - 1)) == 0) {
+      blocks_.emplace_back().reserve(kBlockSpans);
+    }
+    blocks_.back().push_back(span);
+    ++size_;
+  }
+
+ private:
+  std::vector<std::vector<Span>> blocks_;
+  std::size_t size_ = 0;
+};
+
 struct SpanConfig {
   /// Retention cap; spans past it are counted but not stored (exports
   /// embed the drop count — never silent).
@@ -100,7 +255,7 @@ class SpanTracer {
   /// Records an already-closed zero-duration span at `t` (verdicts).
   void instant(Span span, Time t);
 
-  const std::vector<Span>& spans() const { return spans_; }
+  const SpanLog& spans() const { return spans_; }
   std::uint64_t recorded() const { return recorded_; }
   std::uint64_t dropped() const { return recorded_ - spans_.size(); }
   /// Ends that matched no open span.
@@ -119,10 +274,9 @@ class SpanTracer {
 
  private:
   SpanConfig config_;
-  std::vector<Span> spans_;
-  /// Open-span lookup: id -> index into spans_. Lookup only — never
-  /// iterated, so hash order cannot leak into any output.
-  std::unordered_map<std::uint64_t, std::size_t> open_;
+  SpanLog spans_;
+  /// Open-span lookup: id -> index into spans_.
+  FlatIndex open_;
   std::uint64_t recorded_ = 0;
   std::uint64_t unmatched_ends_ = 0;
   std::array<std::uint64_t, kSpanKindCount> counts_{};

@@ -4,15 +4,21 @@
 // and the end-to-end acceptance properties from docs/OBSERVABILITY.md —
 // a breaker trip yields a schema-valid bundle whose pre-trigger power
 // series reconciles with the energy account and whose suspect ranking
-// matches obs::Forensics, and dopereport renders it.
+// matches obs::Forensics, and dopereport renders it. The incremental
+// forensics fold the recorder captures with is checked against a copy
+// of the one-shot std::map fold it replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "obs/flight.hpp"
 #include "obs/forensics.hpp"
 #include "obs/hub.hpp"
@@ -416,6 +422,266 @@ TEST(FlightScenario, AttachedRecorderDoesNotPerturbResults) {
   EXPECT_EQ(plain.energy.battery, traced.energy.battery);
   EXPECT_EQ(plain.slot_stats.violation_slots,
             traced.slot_stats.violation_slots);
+}
+
+// ------------------------------------------------ incremental forensics
+
+/// The one-shot fold `Forensics::build` used before the incremental
+/// builder: every call re-folds the whole span log through std::maps.
+struct ReferenceForensics {
+  std::vector<SourceStats> sources;
+  Joules total_joules{0.0};
+  std::uint64_t violation_events = 0;
+};
+
+ReferenceForensics reference_build(const SpanTracer& spans,
+                                   const TraceRecorder& trace,
+                                   Time horizon) {
+  struct SourceAccum {
+    SourceStats stats;
+    std::map<std::uint32_t, Joules> class_joules;
+    std::map<std::uint32_t, std::uint64_t> class_requests;
+    std::map<std::int32_t, Joules> zone_joules;
+  };
+  ReferenceForensics out;
+  std::vector<Time> violations;
+  for (const TraceEvent& e : trace.events()) {
+    if (e.type == EventType::kBudgetViolation) violations.push_back(e.t);
+  }
+  out.violation_events = violations.size();
+  if (horizon < 0) {
+    for (const Span& span : spans.spans()) {
+      horizon = std::max(horizon, span.begin);
+      horizon = std::max(horizon, span.end);
+    }
+  }
+  std::map<std::uint32_t, SourceAccum> accum;
+  for (const Span& span : spans.spans()) {
+    SourceAccum& a = accum[span.source_id];
+    a.stats.source_id = span.source_id;
+    if (span.kind == SpanKind::kRequest) {
+      ++a.stats.requests;
+      ++a.class_requests[span.url_class];
+      if (std::string_view(span.outcome) == "completed") {
+        ++a.stats.completed;
+      }
+    } else if (span.kind == SpanKind::kService) {
+      const Time end = span.open() ? horizon : span.end;
+      const Duration held = std::max<Duration>(end - span.begin, 0);
+      a.stats.joules += span.power_w * held;
+      a.stats.occupancy_ms += to_seconds(held) * 1e3;
+      a.class_joules[span.url_class] += span.power_w * held;
+      if (span.zone >= 0) a.zone_joules[span.zone] += span.power_w * held;
+      const auto lo =
+          std::lower_bound(violations.begin(), violations.end(), span.begin);
+      const auto hi =
+          std::upper_bound(violations.begin(), violations.end(), end);
+      a.stats.violation_overlaps += static_cast<std::uint64_t>(hi - lo);
+    }
+  }
+  for (auto& [source_id, a] : accum) {
+    Joules best_j{0.0};
+    for (const auto& [cls, j] : a.class_joules) {
+      if (j > best_j) {
+        best_j = j;
+        a.stats.dominant_class = cls;
+      }
+    }
+    if (best_j <= Joules{0.0}) {
+      std::uint64_t best_n = 0;
+      for (const auto& [cls, n] : a.class_requests) {
+        if (n > best_n) {
+          best_n = n;
+          a.stats.dominant_class = cls;
+        }
+      }
+    }
+    Joules best_zone_j{0.0};
+    for (const auto& [zone, j] : a.zone_joules) {
+      if (j > best_zone_j) {
+        best_zone_j = j;
+        a.stats.dominant_zone = zone;
+      }
+    }
+    out.total_joules += a.stats.joules;
+    out.sources.push_back(a.stats);
+  }
+  return out;
+}
+
+TraceEvent event_at(Time t, EventType type) {
+  TraceEvent e;
+  e.t = t;
+  e.type = type;
+  return e;
+}
+
+void expect_same_rollup(const Forensics& got, const ReferenceForensics& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.sources().size(), want.sources.size()) << where;
+  // Exact equality throughout: the builder must add in the same order.
+  EXPECT_EQ(got.total_joules().value(), want.total_joules.value()) << where;
+  EXPECT_EQ(got.violation_events(), want.violation_events) << where;
+  for (std::size_t i = 0; i < want.sources.size(); ++i) {
+    const SourceStats& g = got.sources()[i];
+    const SourceStats& w = want.sources[i];
+    ASSERT_EQ(g.source_id, w.source_id) << where;
+    EXPECT_EQ(g.requests, w.requests) << where << " src " << w.source_id;
+    EXPECT_EQ(g.completed, w.completed) << where << " src " << w.source_id;
+    EXPECT_EQ(g.joules.value(), w.joules.value())
+        << where << " src " << w.source_id;
+    EXPECT_EQ(g.occupancy_ms, w.occupancy_ms)
+        << where << " src " << w.source_id;
+    EXPECT_EQ(g.violation_overlaps, w.violation_overlaps)
+        << where << " src " << w.source_id;
+    EXPECT_EQ(g.dominant_class, w.dominant_class)
+        << where << " src " << w.source_id;
+    EXPECT_EQ(g.dominant_zone, w.dominant_zone)
+        << where << " src " << w.source_id;
+  }
+}
+
+/// Random span/violation history with random advance and snapshot
+/// points; every snapshot (and a fresh `Forensics::build`) must equal the
+/// reference fold over the log as it stands.
+void run_builder_differential(std::uint64_t seed, std::size_t cap) {
+  Rng rng(seed);
+  SpanTracer spans(SpanConfig{.max_spans = cap});
+  TraceRecorder trace;
+  ForensicsBuilder builder;
+  const char* const outcomes[] = {"completed", "completed", "timeout"};
+  std::vector<std::uint64_t> open;       // closable soon
+  std::vector<std::uint64_t> long_open;  // closed rarely, if ever
+  std::uint64_t next_request = 1;
+  Time now = 0;
+  int snapshots = 0;
+  for (int step = 0; step < 6000; ++step) {
+    // Zero steps keep several spans, violations and advances at one
+    // instant.
+    now += static_cast<Time>(rng() % 4) * 250;
+    const unsigned op = static_cast<unsigned>(rng() % 100);
+    if (op < 30) {
+      // A request: root, two verdict instants, and a queue or service
+      // span, from one of 16 sources over 4 classes and 3 zones.
+      const std::uint64_t request = next_request++;
+      Span root;
+      root.id = span_id_for(request, SpanKind::kRequest);
+      root.kind = SpanKind::kRequest;
+      root.begin = now;
+      root.source_id = 1000 + static_cast<std::uint32_t>(rng() % 16);
+      root.url_class = static_cast<std::uint32_t>(rng() % 4);
+      root.zone = static_cast<int>(rng() % 4) - 1;
+      spans.begin(root);
+      Span child = root;
+      child.parent = root.id;
+      for (SpanKind kind : {SpanKind::kFirewall, SpanKind::kLbPick}) {
+        child.kind = kind;
+        child.id = span_id_for(request, kind);
+        spans.instant(child, now);
+      }
+      child.kind = rng() % 3 == 0 ? SpanKind::kQueue : SpanKind::kService;
+      child.id = span_id_for(request, child.kind);
+      child.power_w = Watts{static_cast<double>(rng() % 4000) / 37.0};
+      spans.begin(child);
+      auto& pool = rng() % 20 == 0 ? long_open : open;
+      pool.push_back(child.id);
+      pool.push_back(root.id);
+    } else if (op < 60 && !open.empty()) {
+      const std::size_t k = rng() % open.size();
+      spans.end(open[k], now, outcomes[rng() % 3]);
+      if (rng() % 8 == 0) {
+        // A violation at the very instant a span closes: it overlaps.
+        trace.record(event_at(now, EventType::kBudgetViolation));
+      }
+      open[k] = open.back();
+      open.pop_back();
+    } else if (op < 61 && !long_open.empty()) {
+      spans.end(long_open.back(), now, outcomes[rng() % 3]);
+      long_open.pop_back();
+    } else if (op < 68) {
+      trace.record(event_at(now, rng() % 3 == 0
+                                     ? EventType::kThrottleApplied
+                                     : EventType::kBudgetViolation));
+    } else if (op < 80) {
+      builder.advance(spans, trace, now);
+    } else if (op == 99) {
+      // A quiet instant: everything closes at `now`, a capture advances
+      // at `now`, then another violation lands at `now`. The spans that
+      // closed at `now` overlap it, so they must not have been folded.
+      for (auto* pool : {&open, &long_open}) {
+        for (const std::uint64_t id : *pool) {
+          spans.end(id, now, outcomes[rng() % 3]);
+        }
+        pool->clear();
+      }
+      builder.advance(spans, trace, now);
+      trace.record(event_at(now, EventType::kBudgetViolation));
+    } else if (op < 85) {
+      const Time horizon = rng() % 4 == 0 ? Time{-1} : now;
+      const std::string where = "seed " + std::to_string(seed) +
+                                " step " + std::to_string(step);
+      expect_same_rollup(builder.snapshot(spans, trace, horizon),
+                         reference_build(spans, trace, horizon), where);
+      ++snapshots;
+    }
+  }
+  const ReferenceForensics final_ref = reference_build(spans, trace, now);
+  expect_same_rollup(builder.snapshot(spans, trace, now), final_ref,
+                     "final snapshot");
+  expect_same_rollup(Forensics::build(spans, trace, now), final_ref,
+                     "fresh build");
+  EXPECT_GT(snapshots, 100);
+  // The watermark moved, and every span below it is closed.
+  EXPECT_GT(builder.watermark(), 0u);
+  for (std::size_t i = 0; i < builder.watermark(); ++i) {
+    ASSERT_FALSE(spans.spans()[i].open());
+  }
+}
+
+TEST(ForensicsBuilder, SnapshotsMatchReferenceFold) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    run_builder_differential(seed, 1'000'000);
+  }
+}
+
+TEST(ForensicsBuilder, SnapshotsMatchReferenceFoldPastTheSpanCap) {
+  run_builder_differential(9, 4000);
+}
+
+TEST(ForensicsBuilder, FoldsOnlyTheClosedPrefix) {
+  SpanTracer spans;
+  TraceRecorder trace;
+  Span a;
+  a.id = span_id_for(1, SpanKind::kService);
+  a.kind = SpanKind::kService;
+  a.source_id = 7;
+  a.power_w = Watts{100.0};
+  a.begin = 0;
+  spans.begin(a);
+  Span b = a;
+  b.id = span_id_for(2, SpanKind::kService);
+  b.begin = 10;
+  spans.begin(b);
+  spans.end(a.id, 20, "completed");
+
+  ForensicsBuilder builder;
+  builder.advance(spans, trace, 20);  // a ends at 20: not before now
+  EXPECT_EQ(builder.watermark(), 0u);
+  builder.advance(spans, trace, 21);
+  EXPECT_EQ(builder.watermark(), 1u);  // b is open and blocks the rest
+  // A violation at t=21 overlaps the open span b, not the folded a.
+  trace.record(event_at(21, EventType::kBudgetViolation));
+  const Forensics at_30 = builder.snapshot(spans, trace, 30);
+  ASSERT_EQ(at_30.sources().size(), 1u);
+  EXPECT_EQ(at_30.sources()[0].violation_overlaps, 1u);
+  EXPECT_EQ(at_30.violation_events(), 1u);
+  // b clamps to the horizon: 20 us + 20 us of slot time.
+  EXPECT_DOUBLE_EQ(at_30.sources()[0].occupancy_ms, 0.04);
+  spans.end(b.id, 40, "completed");
+  builder.advance(spans, trace, 41);
+  EXPECT_EQ(builder.watermark(), 2u);
+  expect_same_rollup(builder.snapshot(spans, trace),
+                     reference_build(spans, trace, -1), "closed");
 }
 
 // ------------------------------------------------ post-mortem render

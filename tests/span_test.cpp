@@ -1,19 +1,24 @@
 // End-to-end tests for request-lifecycle spans and per-source forensics.
 //
-// These run the golden attack scenario with spans attached and check the
-// ISSUE's acceptance properties: span recording never perturbs the
-// simulation, span ids are stable across reruns, the forensic ranking
-// recovers the ground-truth botnet, attributed energy reconciles with
-// the cluster's energy account, and the Chrome export carries paired
-// per-slot duration tracks.
+// These run the golden attack scenario with spans attached and check its
+// acceptance properties: span recording never perturbs the simulation,
+// span ids are stable across reruns, the forensic ranking recovers the
+// ground-truth botnet, attributed energy reconciles with the cluster's
+// energy account, and the Chrome export carries paired per-slot duration
+// tracks. The storage tests check the flat open-span table and the block
+// span log against standard-container models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "antidope/antidope.hpp"
 #include "antidope/suspect_list.hpp"
+#include "common/rng.hpp"
 #include "obs/forensics.hpp"
 #include "obs/hub.hpp"
 #include "obs/span.hpp"
@@ -263,6 +268,190 @@ TEST(SpanWatchdog, DefaultAttackRateRuleFiresDuringFlood) {
   }
   EXPECT_TRUE(saw_attack_rate);
   EXPECT_GT(hub.trace().count(EventType::kAlertRaised), 0u);
+}
+
+// ------------------------------------------------ span storage
+
+TEST(FlatIndex, MatchesUnorderedMapAcrossRehashes) {
+  // Random assign / insert / take against std::unordered_map.
+  // The key pool is wide enough that the live set passes several
+  // doublings (16 -> 8192 slots), and narrow enough that keys recur.
+  Rng rng(20261018);
+  FlatIndex index;
+  std::unordered_map<std::uint64_t, std::size_t> model;
+  const auto key_of = [&rng] {
+    // Span-id shaped keys: a request id in the high bits, a stage low.
+    return ((rng() % 6000) << 3) | (rng() % 5);
+  };
+  for (int step = 0; step < 200'000; ++step) {
+    const std::uint64_t key = key_of();
+    const std::size_t value = rng() % 1'000'000;
+    // Grow for the first half, then shrink back through the same sizes.
+    const unsigned op = static_cast<unsigned>(rng() % 10);
+    const bool growing = step < 100'000;
+    if (op < (growing ? 4u : 2u)) {
+      index.assign(key, value);
+      model[key] = value;
+    } else if (op < (growing ? 7u : 4u)) {
+      const auto [it, fresh] = model.emplace(key, value);
+      (void)fresh;
+      ASSERT_EQ(index.insert(key, value), it->second);
+    } else {
+      const auto it = model.find(key);
+      const std::size_t expected =
+          it == model.end() ? FlatIndex::kNone : it->second;
+      if (it != model.end()) model.erase(it);
+      ASSERT_EQ(index.take(key), expected) << "step " << step;
+    }
+    ASSERT_EQ(index.size(), model.size()) << "step " << step;
+  }
+  // dope-lint: allow(unordered-iter) — each key is checked on its own
+  for (const auto& [key, value] : model) {
+    ASSERT_EQ(index.take(key), value);
+  }
+  EXPECT_EQ(index.size(), 0u);
+}
+
+/// The tracer as it was before the flat table: an unordered_map open
+/// table over a plain vector log.
+struct ModelTracer {
+  explicit ModelTracer(std::size_t max_spans) : cap(max_spans) {}
+
+  std::size_t cap;
+  std::vector<Span> spans;
+  std::unordered_map<std::uint64_t, std::size_t> open;
+  std::uint64_t recorded = 0;
+  std::uint64_t unmatched = 0;
+
+  void begin(Span span) {
+    ++recorded;
+    if (spans.size() >= cap) return;
+    span.end = -1;
+    open[span.id] = spans.size();
+    spans.push_back(span);
+  }
+  void end(std::uint64_t id, Time t, const char* outcome) {
+    const auto it = open.find(id);
+    if (it == open.end()) {
+      ++unmatched;
+      return;
+    }
+    spans[it->second].end = t;
+    spans[it->second].outcome = outcome;
+    open.erase(it);
+  }
+  void instant(Span span, Time t) {
+    ++recorded;
+    if (spans.size() >= cap) return;
+    span.begin = t;
+    span.end = t;
+    spans.push_back(span);
+  }
+};
+
+void run_open_table_differential(std::uint64_t seed, std::size_t cap) {
+  Rng rng(seed);
+  SpanTracer tracer(SpanConfig{.max_spans = cap});
+  ModelTracer model(cap);
+  const char* const outcomes[] = {"completed", "timeout", "rejected"};
+  Time now = 0;
+  std::size_t peak_open = 0;
+  for (int step = 0; step < 60'000; ++step) {
+    now += static_cast<Time>(rng() % 3);
+    // Ids come from a pool of 4000 requests x 5 stages, so begins of a
+    // still-open id (re-begin), ends of never-begun or already-closed
+    // ids (unmatched) and ids begun past the cap all occur. The first
+    // third mostly opens, driving the table through several doublings.
+    Span span;
+    span.kind = static_cast<SpanKind>(rng() % kSpanKindCount);
+    span.id = span_id_for(rng() % 4000, span.kind);
+    span.begin = now;
+    const unsigned op = static_cast<unsigned>(rng() % 10);
+    if (op < (step < 20'000 ? 8u : 4u)) {
+      tracer.begin(span);
+      model.begin(span);
+    } else if (op < 9) {
+      const char* outcome = outcomes[rng() % 3];
+      tracer.end(span.id, now, outcome);
+      model.end(span.id, now, outcome);
+    } else {
+      tracer.instant(span, now);
+      model.instant(span, now);
+    }
+    ASSERT_EQ(tracer.open_count(), model.open.size()) << "step " << step;
+    ASSERT_EQ(tracer.unmatched_ends(), model.unmatched);
+    ASSERT_EQ(tracer.recorded(), model.recorded);
+    ASSERT_EQ(tracer.spans().size(), model.spans.size());
+    peak_open = std::max(peak_open, model.open.size());
+  }
+  if (cap > 10'000) {
+    EXPECT_GT(peak_open, 4096u);  // at least 9 doublings from 16 slots
+  }
+  ASSERT_EQ(tracer.dropped(), model.recorded - model.spans.size());
+  for (std::size_t i = 0; i < model.spans.size(); ++i) {
+    const Span& got = tracer.spans()[i];
+    const Span& want = model.spans[i];
+    ASSERT_EQ(got.id, want.id) << i;
+    ASSERT_EQ(got.begin, want.begin) << i;
+    ASSERT_EQ(got.end, want.end) << i;
+    ASSERT_EQ(std::string(got.outcome), std::string(want.outcome)) << i;
+  }
+}
+
+TEST(SpanTracer, OpenTableMatchesUnorderedMapModel) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    run_open_table_differential(seed, 1'000'000);
+  }
+}
+
+TEST(SpanTracer, OpenTableMatchesModelPastTheCap) {
+  // Begins past the cap are never stored, so their ends are unmatched.
+  run_open_table_differential(7, 5'000);
+}
+
+TEST(SpanLog, IndexingAndIterationAcrossBlockBoundaries) {
+  constexpr std::size_t kBlock = SpanLog::kBlockSpans;
+  static_assert(kBlock == std::size_t{1} << 14);
+  SpanLog log;
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.begin(), log.end());
+  const Span* first_block_last = nullptr;
+  for (std::size_t i = 0; i <= 2 * kBlock; ++i) {
+    Span span;
+    span.id = i;
+    log.push_back(span);
+    if (i == kBlock - 1) first_block_last = &log[i];
+  }
+  ASSERT_EQ(log.size(), 2 * kBlock + 1);
+  // Appending never moves a stored span.
+  EXPECT_EQ(first_block_last, &log[kBlock - 1]);
+  for (const std::size_t i : {std::size_t{0}, kBlock - 1, kBlock,
+                              kBlock + 1, 2 * kBlock - 1, 2 * kBlock}) {
+    EXPECT_EQ(log[i].id, i);
+  }
+  std::size_t expected = 0;
+  for (const Span& span : log) {
+    ASSERT_EQ(span.id, expected);
+    ++expected;
+  }
+  EXPECT_EQ(expected, log.size());
+  auto it = log.begin();
+  for (std::size_t i = 0; i < kBlock; ++i) ++it;
+  EXPECT_EQ(it->id, kBlock);
+  EXPECT_EQ((++it)->id, kBlock + 1);
+
+  // The tracer's log crosses the same boundaries.
+  SpanTracer tracer;
+  for (std::size_t i = 0; i < kBlock + 1; ++i) {
+    Span span;
+    span.id = span_id_for(i, SpanKind::kRequest);
+    tracer.begin(span);
+  }
+  tracer.end(span_id_for(kBlock - 1, SpanKind::kRequest), 5, "completed");
+  tracer.end(span_id_for(kBlock, SpanKind::kRequest), 6, "completed");
+  EXPECT_EQ(tracer.spans()[kBlock - 1].end, 5);
+  EXPECT_EQ(tracer.spans()[kBlock].end, 6);
+  EXPECT_EQ(tracer.open_count(), kBlock - 1);
 }
 
 }  // namespace

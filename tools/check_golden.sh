@@ -6,9 +6,10 @@
 # tests/determinism_test.cpp) and cmp's every export surface against the
 # pre-refactor captures in tests/golden/. The same scenario on a two-zone
 # site (flood through zone 0's front door, demand divider) is compared
-# against the site2_* captures. Any refactor that claims
-# "performance/typing changes, results do not" (the event-core rewrite,
-# the Quantity<Dim> units migration) must keep this green: a single
+# against the site2_* captures, and a Capping run's incident bundle and
+# forensics export against the capping_* captures. Any refactor that
+# claims "performance/typing changes, results do not" (the event-core
+# rewrite, the Quantity<Dim> units migration) must keep this green: a single
 # changed byte means the arithmetic — not just the types — changed.
 #
 # Usage: tools/check_golden.sh [path/to/dopesim_cli]
@@ -76,10 +77,23 @@ compare "$tmp/site2-power.csv" "$golden/site2_power.csv"
 compare "$tmp/site2-soc.csv" "$golden/site2_soc.csv"
 compare "$tmp/site2-metrics.json" "$golden/site2_metrics.json"
 
+# Incident captures and final forensics: the same flood under Capping
+# violates the budget often enough to hit the 8-incident cap, and every
+# incident carries a forensics snapshot taken at its trigger time, so
+# this pins both the capture-time and the end-of-run per-source rollups.
+"$cli" --scheme capping --budget low --attack-rps 400 --duration-s 60 \
+  --seed 42 --battery-min 2 \
+  --incidents-out "$tmp/cap-incidents.json" \
+  --forensics-out "$tmp/cap-forensics.json" > /dev/null
+
+gunzip -c "$golden/capping_incidents.json.gz" > "$tmp/golden-incidents.json"
+compare "$tmp/cap-incidents.json" "$tmp/golden-incidents.json"
+compare "$tmp/cap-forensics.json" "$golden/capping_forensics.json"
+
 if [[ "$status" -ne 0 ]]; then
   echo "check_golden: exports drifted from tests/golden/ captures" >&2
   exit 1
 fi
 echo "check_golden: all 5 export surfaces byte-identical" \
   "(detached and with the flight recorder attached), and the 4 two-zone" \
-  "site surfaces"
+  "site surfaces, and the capping incident bundle and forensics"
