@@ -225,6 +225,39 @@ void BM_SpanRequestLifecycle(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanRequestLifecycle);
 
+void BM_TraceRecordForwarded(benchmark::State& state) {
+  // Build and record one RequestForwarded-shaped event (3 numeric
+  // fields, one interned string) into a recorder whose listener reads
+  // the stored event back, as the flight recorder's tap does. A fresh
+  // recorder per batch, so the chunk allocations are in the cost.
+  constexpr std::uint64_t kBatch = 4096;
+  const char* const pools[] = {"default", "pdf"};
+  std::uint64_t request = 0;
+  for (auto _ : state) {
+    obs::TraceRecorder trace;
+    double seen = 0.0;
+    trace.set_listener([&seen](const obs::TraceEventRef& e) {
+      if (e.type == obs::EventType::kBreakerTrip) seen += e.num[0].second;
+    });
+    for (std::uint64_t i = 0; i < kBatch; ++i, ++request) {
+      obs::TraceEvent e;
+      e.t = static_cast<Time>(request) * 100;
+      e.type = obs::EventType::kRequestForwarded;
+      e.source = "edge";
+      e.num.emplace_back("server", static_cast<double>(request % 8));
+      e.num.emplace_back("url_class", static_cast<double>(request % 5));
+      e.num.emplace_back("source_id", static_cast<double>(request % 320));
+      e.str.emplace_back("pool", pools[request % 16 == 0 ? 1 : 0]);
+      trace.record(e);
+    }
+    benchmark::DoNotOptimize(seen);
+    benchmark::DoNotOptimize(trace.events().size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_TraceRecordForwarded);
+
 void BM_ForensicsSnapshot(benchmark::State& state) {
   // One incident-time forensics snapshot after `Arg` spans are logged:
   // 320 sources, 3 classes, a violation every 10k spans, and 64 requests

@@ -129,8 +129,6 @@ void DataPlane::trace_forwarded(const workload::Request& request, int server,
   e.t = owner_.engine().now();
   e.type = obs::EventType::kRequestForwarded;
   e.source = "edge";
-  e.num.reserve(zone_ >= 0 ? 4 : 3);
-  e.str.reserve(1);
   e.num.emplace_back("server", server);
   e.num.emplace_back("url_class", request.type);
   e.num.emplace_back("source_id", request.source);
@@ -145,8 +143,6 @@ void DataPlane::trace_dropped(const workload::Request& request,
   e.t = owner_.engine().now();
   e.type = obs::EventType::kRequestDropped;
   e.source = "edge";
-  e.num.reserve(zone_ >= 0 ? 3 : 2);
-  e.str.reserve(1);
   e.num.emplace_back("url_class", request.type);
   e.num.emplace_back("source_id", request.source);
   if (zone_ >= 0) e.num.emplace_back("zone", zone_);

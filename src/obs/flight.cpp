@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
-#include <map>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -24,7 +22,7 @@ std::string format_value(double v) {
 }
 
 /// Payload lookup in a trace event's numeric fields.
-bool find_num(const TraceEvent& e, std::string_view key, double* out) {
+bool find_num(const TraceEventRef& e, std::string_view key, double* out) {
   for (const auto& [k, v] : e.num) {
     if (key == k) {
       *out = v;
@@ -34,22 +32,11 @@ bool find_num(const TraceEvent& e, std::string_view key, double* out) {
   return false;
 }
 
-std::string find_str(const TraceEvent& e, std::string_view key) {
+std::string find_str(const TraceEventRef& e, std::string_view key) {
   for (const auto& [k, v] : e.str) {
-    if (key == k) return v;
+    if (key == k) return std::string(v);
   }
   return {};
-}
-
-/// Nearest-rank percentile over a sorted sample vector.
-double sorted_percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const double rank =
-      std::ceil(p / 100.0 * static_cast<double>(sorted.size()));
-  const std::size_t idx = static_cast<std::size_t>(
-      std::clamp(rank - 1.0, 0.0,
-                 static_cast<double>(sorted.size()) - 1.0));
-  return sorted[idx];
 }
 
 }  // namespace
@@ -69,7 +56,7 @@ void FlightRecorder::set_suspect_classes(
   suspect_classes_ = std::move(classes);
 }
 
-void FlightRecorder::on_trace_event(const TraceEvent& e) {
+void FlightRecorder::on_trace_event(const TraceEventRef& e) {
   switch (e.type) {
     case EventType::kBreakerTrip: {
       if (!config_.on_breaker_trip) return;
@@ -167,7 +154,7 @@ void FlightRecorder::capture(Time t, const char* trigger,
 
   out << ",\n      \"trace_tail\": [";
   if (trace_ != nullptr) {
-    const auto& events = trace_->events();
+    const TraceView events = trace_->events();
     const std::size_t n = std::min(config_.trace_tail, events.size());
     for (std::size_t k = events.size() - n; k < events.size(); ++k) {
       if (k > events.size() - n) out << ',';
@@ -181,7 +168,7 @@ void FlightRecorder::capture(Time t, const char* trigger,
   // Fold the spans that closed since the last capture; everything
   // below the watermark is closed, so the open-span scan starts there.
   if (spans_ != nullptr && trace_ != nullptr) {
-    forensics_.advance(*spans_, *trace_, t);
+    spans_->forensics().advance(*spans_, *trace_, t);
   }
 
   out << ",\n      \"open_spans\": [";
@@ -189,7 +176,8 @@ void FlightRecorder::capture(Time t, const char* trigger,
   if (spans_ != nullptr) {
     const SpanLog& log = spans_->spans();
     std::size_t listed = 0;
-    for (std::size_t i = forensics_.watermark(); i < log.size(); ++i) {
+    for (std::size_t i = spans_->forensics().watermark(); i < log.size();
+         ++i) {
       const Span& span = log[i];
       if (!span.open()) continue;
       ++open_total;
@@ -205,7 +193,8 @@ void FlightRecorder::capture(Time t, const char* trigger,
 
   out << ",\n      \"forensics\": ";
   if (spans_ != nullptr && trace_ != nullptr) {
-    const Forensics forensics = forensics_.snapshot(*spans_, *trace_, t);
+    const Forensics forensics =
+        spans_->forensics().snapshot(*spans_, *trace_, t);
     out << "{\"total_joules\": ";
     write_json_number(out, forensics.total_joules().value());
     out << ", \"violation_events\": " << forensics.violation_events()
@@ -245,50 +234,35 @@ void FlightRecorder::write_slo_json(std::ostream& out) const {
     return;
   }
   // Per-URL-class latency + completion rollup over closed root request
-  // spans. std::map: classes export in sorted order.
-  struct ClassStats {
-    std::vector<double> lat_ms;
-    std::uint64_t requests = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t breaches = 0;
-  };
-  std::map<std::uint32_t, ClassStats> classes;
-  for (const Span& span : spans_->spans()) {
-    if (span.kind != SpanKind::kRequest || span.open()) continue;
-    ClassStats& c = classes[span.url_class];
-    ++c.requests;
-    const bool completed = std::string_view(span.outcome) == "completed";
-    if (completed) ++c.completed;
-    const double lat_ms =
-        static_cast<double>(span.end - span.begin) / 1000.0;
-    c.lat_ms.push_back(lat_ms);
-    if (!completed || lat_ms > config_.slo_latency_ms) ++c.breaches;
-  }
+  // spans, from the span log's one forensics fold.
+  ForensicsBuilder& builder = spans_->forensics();
+  if (trace_ != nullptr) builder.advance_to_log(*spans_, *trace_);
+  const std::vector<SloClass> classes =
+      builder.slo(*spans_, config_.slo_latency_ms);
   out << "{\"objective_ms\": ";
   write_json_number(out, config_.slo_latency_ms);
   out << ", \"error_budget\": ";
   write_json_number(out, config_.slo_error_budget);
   out << ", \"classes\": [";
   bool first = true;
-  for (auto& [url_class, c] : classes) {
+  for (const SloClass& c : classes) {
     if (!first) out << ',';
     first = false;
-    std::sort(c.lat_ms.begin(), c.lat_ms.end());
     const double requests = static_cast<double>(c.requests);
     const double breach_rate =
         c.requests ? static_cast<double>(c.breaches) / requests : 0.0;
     const double burn = config_.slo_error_budget > 0.0
                             ? breach_rate / config_.slo_error_budget
                             : 0.0;
-    out << "\n    {\"url_class\": " << url_class
+    out << "\n    {\"url_class\": " << c.url_class
         << ", \"requests\": " << c.requests
         << ", \"completed\": " << c.completed
         << ", \"breaches\": " << c.breaches << ", \"p50_ms\": ";
-    write_json_number(out, sorted_percentile(c.lat_ms, 50));
+    write_json_number(out, c.p50_ms);
     out << ", \"p95_ms\": ";
-    write_json_number(out, sorted_percentile(c.lat_ms, 95));
+    write_json_number(out, c.p95_ms);
     out << ", \"p99_ms\": ";
-    write_json_number(out, sorted_percentile(c.lat_ms, 99));
+    write_json_number(out, c.p99_ms);
     out << ", \"compliance\": ";
     write_json_number(out, 1.0 - breach_rate);
     out << ", \"burn_rate\": ";

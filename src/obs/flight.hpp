@@ -13,7 +13,9 @@
 //              last-N trace events, the spans still open, and the
 //              forensics top-K suspect ranking at that instant
 //              (each capture folds only the spans that closed since
-//              the previous one: obs/forensics.hpp ForensicsBuilder);
+//              the previous one, through the span log's one
+//              obs/forensics.hpp ForensicsBuilder, which the bundle's
+//              SLO section and the forensics export reuse);
 //   output:    one self-contained, schema-versioned *incident bundle*
 //              JSON (docs/OBSERVABILITY.md) that `dopereport` turns
 //              into a markdown post-mortem.
@@ -97,7 +99,7 @@ class FlightRecorder {
   void set_suspect_classes(std::vector<std::uint32_t> classes);
 
   /// TraceRecorder tap (see class comment).
-  void on_trace_event(const TraceEvent& e);
+  void on_trace_event(const TraceEventRef& e);
 
   /// DOPE_AUDIT=FATAL path: called *before* the audit throws so the
   /// bundle exists when the process unwinds.
@@ -117,7 +119,7 @@ class FlightRecorder {
 
   /// The bundle: schema envelope + run context + run-level SLO section
   /// + every captured incident (+ IncidentTruncated trailer when over
-  /// cap).
+  /// cap). The SLO section advances the span log's forensics fold.
   void write_json(std::ostream& out) const;
 
  private:
@@ -134,8 +136,6 @@ class FlightRecorder {
   /// Fully rendered incident JSON objects, in capture order. Rendered
   /// at trigger time — the rings keep moving afterwards.
   std::vector<std::string> incidents_;
-  /// Per-source rollup of the spans closed before the last capture.
-  ForensicsBuilder forensics_;
   std::uint64_t triggers_ = 0;
   std::uint64_t deduped_ = 0;
   std::uint64_t dropped_ = 0;

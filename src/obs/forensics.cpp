@@ -1,6 +1,7 @@
 #include "obs/forensics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <ostream>
 #include <string_view>
 
@@ -10,23 +11,28 @@ namespace dope::obs {
 
 Forensics Forensics::build(const SpanTracer& spans,
                            const TraceRecorder& trace, Time horizon) {
-  return ForensicsBuilder{}.snapshot(spans, trace, horizon);
+  ForensicsBuilder& builder = spans.forensics();
+  builder.advance_to_log(spans, trace);
+  return builder.snapshot(spans, trace, horizon);
 }
 
-void ForensicsBuilder::read_violations(const TraceRecorder& trace) {
-  const auto& events = trace.events();
-  for (; trace_cursor_ < events.size(); ++trace_cursor_) {
-    const TraceEvent& e = events[trace_cursor_];
-    if (e.type == EventType::kBudgetViolation) violations_.push_back(e.t);
+void ForensicsBuilder::Rollup::read_violations(const TraceRecorder& trace) {
+  const TraceView events = trace.events();
+  for (; trace_cursor < events.size(); ++trace_cursor) {
+    const TraceEventRef e = events[trace_cursor];
+    if (e.type == EventType::kBudgetViolation) violations.push_back(e.t);
   }
 }
 
-void ForensicsBuilder::fold(const Span& span, Time horizon) {
-  const std::size_t slot = index_.insert(span.source_id, sources_.size());
-  if (slot == sources_.size()) {
-    sources_.emplace_back().stats.source_id = span.source_id;
+void ForensicsBuilder::Rollup::fold(const Span& span, Time horizon) {
+  if (last_source >= sources.size() ||
+      sources[last_source].stats.source_id != span.source_id) {
+    last_source = index.insert(span.source_id, sources.size());
+    if (last_source == sources.size()) {
+      sources.emplace_back().stats.source_id = span.source_id;
+    }
   }
-  SourceAccum& a = sources_[slot];
+  SourceAccum& a = sources[last_source];
   const auto class_accum = [&a](std::uint32_t url_class) -> ClassAccum& {
     for (ClassAccum& c : a.classes) {
       if (c.url_class == url_class) return c;
@@ -56,10 +62,10 @@ void ForensicsBuilder::fold(const Span& span, Time horizon) {
       a.stats.occupancy_ms += to_seconds(held) * 1e3;
       class_accum(span.url_class).joules += joules;
       if (span.zone >= 0) zone_accum(span.zone).joules += joules;
-      const auto lo = std::lower_bound(violations_.begin(),
-                                       violations_.end(), span.begin);
+      const auto lo = std::lower_bound(violations.begin(),
+                                       violations.end(), span.begin);
       const auto hi =
-          std::upper_bound(violations_.begin(), violations_.end(), end);
+          std::upper_bound(violations.begin(), violations.end(), end);
       a.stats.violation_overlaps += static_cast<std::uint64_t>(hi - lo);
       break;
     }
@@ -70,38 +76,74 @@ void ForensicsBuilder::fold(const Span& span, Time horizon) {
   }
 }
 
+void ForensicsBuilder::add_slo_sample(std::vector<SloAccum>& classes,
+                                      const Span& span) {
+  auto it = std::find_if(
+      classes.begin(), classes.end(),
+      [&span](const SloAccum& c) { return c.url_class == span.url_class; });
+  if (it == classes.end()) {
+    it = classes.insert(it, SloAccum{.url_class = span.url_class});
+  }
+  const bool completed = std::string_view(span.outcome) == "completed";
+  it->samples.push_back(static_cast<std::uint64_t>(span.end - span.begin)
+                            << 1 |
+                        (completed ? 0u : 1u));
+}
+
+namespace {
+
+double sample_ms(std::uint64_t sample) {
+  return static_cast<double>(sample >> 1) / 1000.0;
+}
+
+}  // namespace
+
 void ForensicsBuilder::advance(const SpanTracer& spans,
                                const TraceRecorder& trace, Time now) {
-  read_violations(trace);
+  if (!reads(trace)) *this = ForensicsBuilder{};
+  trace_ = &trace;
+  rollup_.read_violations(trace);
   const SpanLog& log = spans.spans();
   for (; watermark_ < log.size(); ++watermark_) {
     const Span& span = log[watermark_];
     if (span.open() || span.end >= now) break;
-    latest_ = std::max({latest_, span.begin, span.end});
-    fold(span, span.end);
+    rollup_.latest = std::max({rollup_.latest, span.begin, span.end});
+    rollup_.fold(span, span.end);
+    if (span.kind == SpanKind::kRequest) add_slo_sample(slo_, span);
   }
+}
+
+void ForensicsBuilder::advance_to_log(const SpanTracer& spans,
+                                      const TraceRecorder& trace) {
+  const SpanLog& log = spans.spans();
+  if (log.size() == 0) return;
+  advance(spans, trace, log[log.size() - 1].begin);
 }
 
 Forensics ForensicsBuilder::snapshot(const SpanTracer& spans,
                                      const TraceRecorder& trace,
                                      Time horizon) const {
-  ForensicsBuilder b = *this;
-  b.read_violations(trace);
+  if (!reads(trace)) return ForensicsBuilder{}.snapshot(spans, trace, horizon);
+  Rollup r = rollup_;
+  r.read_violations(trace);
   const SpanLog& log = spans.spans();
   if (horizon < 0) {
-    horizon = std::max(horizon, latest_);
+    horizon = std::max(horizon, r.latest);
     for (std::size_t i = watermark_; i < log.size(); ++i) {
       horizon = std::max({horizon, log[i].begin, log[i].end});
     }
   }
   for (std::size_t i = watermark_; i < log.size(); ++i) {
-    b.fold(log[i], horizon);
+    r.fold(log[i], horizon);
   }
+  return finish(r);
+}
 
+Forensics ForensicsBuilder::finish(Rollup& r) {
   Forensics out;
-  out.violation_events_ = b.violations_.size();
-  out.sources_.reserve(b.sources_.size());
-  for (SourceAccum& a : b.sources_) {
+  out.violation_events_ = r.violations.size();
+  out.sources_.reserve(r.sources.size());
+  for (SourceAccum& a : r.sources) {
     // Dominant class: by joules when the source reached a slot at all,
     // by request count otherwise. Class order makes ties break to the
     // lower class id.
@@ -147,6 +189,53 @@ Forensics ForensicsBuilder::snapshot(const SpanTracer& spans,
             });
   for (const SourceStats& s : out.sources_) {
     out.total_joules_ += s.joules;
+  }
+  return out;
+}
+
+std::vector<SloClass> ForensicsBuilder::slo(const SpanTracer& spans,
+                                            double objective_ms) const {
+  std::vector<SloAccum> classes = slo_;
+  const SpanLog& log = spans.spans();
+  for (std::size_t i = watermark_; i < log.size(); ++i) {
+    const Span& span = log[i];
+    if (span.kind == SpanKind::kRequest && !span.open()) {
+      add_slo_sample(classes, span);
+    }
+  }
+  std::sort(classes.begin(), classes.end(),
+            [](const SloAccum& x, const SloAccum& y) {
+              return x.url_class < y.url_class;
+            });
+
+  std::vector<SloClass> out;
+  out.reserve(classes.size());
+  for (SloAccum& c : classes) {
+    std::vector<std::uint64_t>& v = c.samples;
+    SloClass& s = out.emplace_back(SloClass{.url_class = c.url_class});
+    s.requests = v.size();
+    for (const std::uint64_t sample : v) {
+      const bool failed = (sample & 1u) != 0;
+      if (!failed) ++s.completed;
+      if (failed || sample_ms(sample) > objective_ms) ++s.breaches;
+    }
+    // Nearest rank: the ceil(p/100 * n)-th smallest latency. Each is
+    // one order statistic, found by selection; the ranks ascend, so
+    // each selection only searches above the previous one.
+    auto from = v.begin();
+    const auto percentile = [&v, &from](double p) {
+      const double rank =
+          std::ceil(p / 100.0 * static_cast<double>(v.size()));
+      const auto idx = static_cast<std::ptrdiff_t>(std::clamp(
+          rank - 1.0, 0.0, static_cast<double>(v.size()) - 1.0));
+      const auto nth = v.begin() + idx;
+      std::nth_element(from, nth, v.end());
+      from = nth;
+      return sample_ms(*nth);
+    };
+    s.p50_ms = percentile(50);
+    s.p95_ms = percentile(95);
+    s.p99_ms = percentile(99);
   }
   return out;
 }

@@ -60,7 +60,7 @@ void Hub::write_trace_jsonl(std::ostream& out) const {
     return;
   }
 
-  const auto& events = trace_.events();
+  const TraceView events = trace_.events();
   const auto& spans = spans_->spans();
   std::vector<MergeEntry> entries;
   entries.reserve(events.size() + 2 * spans.size());

@@ -69,7 +69,7 @@ class Hub {
       // else holding a TraceRecorder*) records directly, and triggers
       // must fire for those events too.
       trace_.set_listener(
-          [this](const TraceEvent& e) { flight_->on_trace_event(e); });
+          [this](const TraceEventRef& e) { flight_->on_trace_event(e); });
     }
   }
 
@@ -94,7 +94,7 @@ class Hub {
   const FlightRecorder* flight() const { return flight_.get(); }
 
   /// Shorthand for trace().record(...).
-  void event(TraceEvent e) { trace_.record(std::move(e)); }
+  void event(TraceEvent&& e) { trace_.record(e); }
 
   /// DOPE_AUDIT failure hook (common/audit.hpp calls this *before* the
   /// fatal throw): snapshots an incident bundle so the post-mortem

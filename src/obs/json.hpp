@@ -9,28 +9,35 @@
 
 namespace dope::obs {
 
-/// Writes `s` as a JSON string literal (quotes included).
+/// Writes `s` as a JSON string literal (quotes included). Runs of bytes
+/// that need no escape go out in one `write`.
 inline void write_json_string(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (const char c : s) {
+  out.put('"');
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    const char* escape = nullptr;
     switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
+      case '"': escape = "\\\""; break;
+      case '\\': escape = "\\\\"; break;
+      case '\n': escape = "\\n"; break;
+      case '\r': escape = "\\r"; break;
+      case '\t': escape = "\\t"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out << buf;
-        } else {
-          out << c;
-        }
+        if (static_cast<unsigned char>(c) >= 0x20) continue;
+    }
+    out.write(s.data() + run, static_cast<std::streamsize>(i - run));
+    run = i + 1;
+    if (escape != nullptr) {
+      out << escape;
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+      out << buf;
     }
   }
-  out << '"';
+  out.write(s.data() + run, static_cast<std::streamsize>(s.size() - run));
+  out.put('"');
 }
 
 /// Writes a double as a JSON number (JSON has no inf/nan; emit null).

@@ -1,9 +1,11 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <ostream>
 #include <utility>
 
+#include "obs/forensics.hpp"
 #include "obs/json.hpp"
 
 namespace dope::obs {
@@ -20,6 +22,15 @@ const char* span_kind_name(SpanKind kind) {
 }
 
 SpanTracer::SpanTracer(SpanConfig config) : config_(config) {}
+
+SpanTracer::~SpanTracer() = default;
+
+ForensicsBuilder& SpanTracer::forensics() const {
+  if (forensics_ == nullptr) {
+    forensics_ = std::make_unique<ForensicsBuilder>();
+  }
+  return *forensics_;
+}
 
 void SpanTracer::begin(Span span) {
   ++recorded_;

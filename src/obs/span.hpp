@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <iterator>
+#include <memory>
 #include <vector>
 
 #include "common/units.hpp"
@@ -50,20 +51,22 @@ inline std::uint64_t span_id_for(std::uint64_t request_id, SpanKind kind) {
 }
 
 /// One span. `label` and `outcome` must be string literals (or otherwise
-/// outlive the tracer), mirroring the TraceEvent key convention.
+/// outlive the tracer), mirroring the TraceEvent key convention. Fields
+/// are ordered widest first so the struct carries no interior padding.
 struct Span {
   std::uint64_t id = 0;
   /// Root-span id of the owning request; 0 for the root itself.
   std::uint64_t parent = 0;
-  SpanKind kind = SpanKind::kRequest;
   Time begin = 0;
   /// -1 while the span is still open.
   Time end = -1;
-  std::uint32_t source_id = 0;
-  std::uint32_t url_class = 0;
   /// Power attributed to the span (service spans: the request's active
   /// power at admission level; 0 elsewhere).
   Watts power_w{0.0};
+  const char* label = "";
+  const char* outcome = "";
+  std::uint32_t source_id = 0;
+  std::uint32_t url_class = 0;
   /// Serving node (-1 when not tied to a server).
   int server = -1;
   /// Slot index on the server (-1 when not in service).
@@ -71,11 +74,11 @@ struct Span {
   /// Zone the span was recorded in (-1 for a standalone cluster; set for
   /// every span inside a `site::Site`).
   int zone = -1;
-  const char* label = "";
-  const char* outcome = "";
+  SpanKind kind = SpanKind::kRequest;
 
   bool open() const { return end < 0; }
 };
+static_assert(sizeof(Span) == 80, "Span grew: keep its fields unpadded");
 
 /// Open-addressing map from a 64-bit key to an index: linear probing,
 /// backward-shift deletion (no tombstones), doubling at load 0.5. It
@@ -230,6 +233,8 @@ class SpanLog {
   std::size_t size_ = 0;
 };
 
+class ForensicsBuilder;
+
 struct SpanConfig {
   /// Retention cap; spans past it are counted but not stored (exports
   /// embed the drop count — never silent).
@@ -240,6 +245,7 @@ struct SpanConfig {
 class SpanTracer {
  public:
   explicit SpanTracer(SpanConfig config = {});
+  ~SpanTracer();
 
   SpanTracer(const SpanTracer&) = delete;
   SpanTracer& operator=(const SpanTracer&) = delete;
@@ -272,6 +278,13 @@ class SpanTracer {
   /// event trace instead).
   void write_jsonl(std::ostream& out) const;
 
+  /// The run's forensics fold over this log, created on first use.
+  /// Flight-recorder captures, `Forensics::build` and the incident
+  /// bundle's SLO section all advance this one builder, so each closed
+  /// span is folded once per run. A cache of derived state: advancing
+  /// it changes nothing the tracer records or exports.
+  ForensicsBuilder& forensics() const;
+
  private:
   SpanConfig config_;
   SpanLog spans_;
@@ -280,6 +293,7 @@ class SpanTracer {
   std::uint64_t recorded_ = 0;
   std::uint64_t unmatched_ends_ = 0;
   std::array<std::uint64_t, kSpanKindCount> counts_{};
+  mutable std::unique_ptr<ForensicsBuilder> forensics_;
 };
 
 /// Writes one span as its JSONL `SpanBegin` record (no trailing newline

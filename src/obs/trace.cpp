@@ -1,6 +1,9 @@
 #include "obs/trace.hpp"
 
+#include <array>
 #include <map>
+#include <memory>
+#include <new>
 #include <ostream>
 #include <string_view>
 
@@ -29,12 +32,82 @@ const char* event_type_name(EventType type) {
 
 TraceRecorder::TraceRecorder(TraceConfig config) : config_(config) {}
 
-void TraceRecorder::record(TraceEvent event) {
+void TraceRecorder::record(const TraceEvent& event) {
   ++recorded_;
   ++counts_[static_cast<std::size_t>(event.type)];
-  const bool stored = events_.size() < config_.max_events;
-  if (stored) events_.push_back(std::move(event));
-  if (listener_) listener_(stored ? events_.back() : event);
+  const bool stored = size_ < config_.max_events;
+  if (stored) store(event);
+  if (!listener_) return;
+  if (stored) {
+    listener_(at(size_ - 1));
+  } else {
+    listener_(event);
+  }
+}
+
+std::string_view TraceRecorder::intern(std::string_view value) {
+  const auto it = intern_index_.find(value);
+  if (it != intern_index_.end()) return *it;
+  const std::string& owned = interned_.emplace_front(value);
+  intern_index_.insert(owned);
+  return owned;
+}
+
+void TraceRecorder::store(const TraceEvent& event) {
+  static_assert(sizeof(Header) % kWord == 0 &&
+                sizeof(NumField) % kWord == 0 &&
+                sizeof(StrField) % kWord == 0);
+  // Everything that can throw happens before the record is written.
+  std::array<StrField, kMaxStrFields> str{};
+  for (std::size_t k = 0; k < event.str.size(); ++k) {
+    str[k] = {event.str[k].first, intern(event.str[k].second)};
+  }
+  const std::size_t words =
+      (sizeof(Header) + event.num.size() * sizeof(NumField) +
+       event.str.size() * sizeof(StrField)) /
+      kWord;
+  if (chunk_used_ + words > kChunkWords) {
+    DOPE_REQUIRE(chunks_.size() + 1 <
+                     (std::size_t{1} << (32 - kChunkWordBits)),
+                 "trace storage over its 32 GiB addressing limit");
+    chunks_.push_back(
+        std::make_unique_for_overwrite<std::byte[]>(kChunkWords * kWord));
+    chunk_used_ = 0;
+  }
+  if ((size_ & (kIndexBlock - 1)) == 0) {
+    index_.push_back(
+        std::make_unique_for_overwrite<std::uint32_t[]>(kIndexBlock));
+  }
+
+  index_.back()[size_ & (kIndexBlock - 1)] = static_cast<std::uint32_t>(
+      ((chunks_.size() - 1) << kChunkWordBits) | chunk_used_);
+  std::byte* p = chunks_.back().get() + chunk_used_ * kWord;
+  chunk_used_ += words;
+  ++size_;
+  ::new (p) Header{event.t, event.source, event.type,
+                   static_cast<std::uint8_t>(event.num.size()),
+                   static_cast<std::uint8_t>(event.str.size())};
+  p += sizeof(Header);
+  for (const NumField& f : event.num) {
+    ::new (p) NumField(f);
+    p += sizeof(NumField);
+  }
+  for (std::size_t k = 0; k < event.str.size(); ++k) {
+    ::new (p) StrField(str[k]);
+    p += sizeof(StrField);
+  }
+}
+
+TraceEventRef TraceRecorder::at(std::size_t i) const {
+  const std::uint32_t word = index_[i >> kIndexBits][i & (kIndexBlock - 1)];
+  const std::byte* p = chunks_[word >> kChunkWordBits].get() +
+                       (word & (kChunkWords - 1)) * kWord;
+  const Header* h = std::launder(reinterpret_cast<const Header*>(p));
+  p += sizeof(Header);
+  const NumField* num = std::launder(reinterpret_cast<const NumField*>(p));
+  p += h->num * sizeof(NumField);
+  const StrField* str = std::launder(reinterpret_cast<const StrField*>(p));
+  return {h->t, h->type, h->source, {num, h->num}, {str, h->str}};
 }
 
 std::size_t TraceRecorder::distinct_types() const {
@@ -47,7 +120,7 @@ std::size_t TraceRecorder::distinct_types() const {
 
 namespace {
 
-void write_payload_fields(std::ostream& out, const TraceEvent& e) {
+void write_payload_fields(std::ostream& out, const TraceEventRef& e) {
   for (const auto& [key, value] : e.num) {
     out << ", ";
     write_json_string(out, key);
@@ -64,7 +137,7 @@ void write_payload_fields(std::ostream& out, const TraceEvent& e) {
 
 }  // namespace
 
-void write_jsonl_event(std::ostream& out, const TraceEvent& e) {
+void write_jsonl_event(std::ostream& out, const TraceEventRef& e) {
   out << "{\"t_us\": " << e.t << ", \"t_s\": ";
   write_json_number(out, to_seconds(e.t));
   out << ", \"type\": ";
@@ -76,7 +149,7 @@ void write_jsonl_event(std::ostream& out, const TraceEvent& e) {
 }
 
 void TraceRecorder::write_jsonl(std::ostream& out) const {
-  for (const auto& e : events_) {
+  for (const TraceEventRef& e : events()) {
     write_jsonl_event(out, e);
     out << "\n";
   }
@@ -97,7 +170,7 @@ void TraceRecorder::write_chrome_body(std::ostream& out,
                                       bool& first) const {
   // One synthetic thread per emitting component so each gets its own row.
   std::map<std::string_view, int> tids;
-  for (const auto& e : events_) {
+  for (const TraceEventRef& e : events()) {
     tids.emplace(e.source, 0);
   }
   int next_tid = 1;
@@ -111,7 +184,7 @@ void TraceRecorder::write_chrome_body(std::ostream& out,
     write_json_string(out, source);
     out << "}}";
   }
-  for (const auto& e : events_) {
+  for (const TraceEventRef& e : events()) {
     if (!first) out << ",\n";
     first = false;
     // Instant event, thread scope; ts is already microseconds.

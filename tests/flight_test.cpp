@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <sstream>
@@ -22,6 +23,7 @@
 #include "obs/flight.hpp"
 #include "obs/forensics.hpp"
 #include "obs/hub.hpp"
+#include "obs/json.hpp"
 #include "obs/report.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
@@ -445,7 +447,7 @@ ReferenceForensics reference_build(const SpanTracer& spans,
   };
   ReferenceForensics out;
   std::vector<Time> violations;
-  for (const TraceEvent& e : trace.events()) {
+  for (const TraceEventRef e : trace.events()) {
     if (e.type == EventType::kBudgetViolation) violations.push_back(e.t);
   }
   out.violation_events = violations.size();
@@ -555,6 +557,7 @@ void run_builder_differential(std::uint64_t seed, std::size_t cap) {
   std::uint64_t next_request = 1;
   Time now = 0;
   int snapshots = 0;
+  int builds = 0;
   for (int step = 0; step < 6000; ++step) {
     // Zero steps keep several spans, violations and advances at one
     // instant.
@@ -623,6 +626,20 @@ void run_builder_differential(std::uint64_t seed, std::size_t cap) {
       expect_same_rollup(builder.snapshot(spans, trace, horizon),
                          reference_build(spans, trace, horizon), where);
       ++snapshots;
+    } else if (op < 87) {
+      // Mid-run export: advances the span log's own builder, which
+      // later exports must keep agreeing with.
+      const Time horizon = rng() % 4 == 0 ? Time{-1} : now;
+      const std::string where = "seed " + std::to_string(seed) +
+                                " step " + std::to_string(step) + " build";
+      expect_same_rollup(Forensics::build(spans, trace, horizon),
+                         reference_build(spans, trace, horizon), where);
+      ++builds;
+      // A violation at the export's instant overlaps every span that
+      // closed at it, so the export must not have folded those.
+      if (rng() % 2 == 0) {
+        trace.record(event_at(now, EventType::kBudgetViolation));
+      }
     }
   }
   const ReferenceForensics final_ref = reference_build(spans, trace, now);
@@ -631,6 +648,8 @@ void run_builder_differential(std::uint64_t seed, std::size_t cap) {
   expect_same_rollup(Forensics::build(spans, trace, now), final_ref,
                      "fresh build");
   EXPECT_GT(snapshots, 100);
+  EXPECT_GT(builds, 40);
+  EXPECT_GT(spans.forensics().watermark(), 0u);
   // The watermark moved, and every span below it is closed.
   EXPECT_GT(builder.watermark(), 0u);
   for (std::size_t i = 0; i < builder.watermark(); ++i) {
@@ -682,6 +701,200 @@ TEST(ForensicsBuilder, FoldsOnlyTheClosedPrefix) {
   EXPECT_EQ(builder.watermark(), 2u);
   expect_same_rollup(builder.snapshot(spans, trace),
                      reference_build(spans, trace, -1), "closed");
+}
+
+TEST(ForensicsBuilder, ExportAfterFlightRecordedRunEqualsFreshFold) {
+  Hub hub = make_flight_hub();
+  auto config = breaker_trip_scenario();
+  config.obs = &hub;
+  config.default_alert_rules = true;
+  scenario::run_scenario(config);
+  ASSERT_GT(hub.flight()->incident_count(), 0u);
+  // The captures advanced the span log's builder.
+  const SpanTracer& spans = *hub.spans();
+  EXPECT_GT(spans.forensics().watermark(), 0u);
+
+  const auto json = [](const Forensics& f) {
+    std::ostringstream out;
+    f.write_json(out);
+    return out.str();
+  };
+  const std::string fresh = json(
+      ForensicsBuilder{}.snapshot(spans, hub.trace(), config.duration));
+  EXPECT_EQ(json(Forensics::build(spans, hub.trace(), config.duration)),
+            fresh);
+  // Twice: the second export folds nothing new and still agrees.
+  EXPECT_EQ(json(Forensics::build(spans, hub.trace(), config.duration)),
+            fresh);
+  expect_same_rollup(Forensics::build(spans, hub.trace(), -1),
+                     reference_build(spans, hub.trace(), -1), "horizon -1");
+
+  // Another recorder's violations: a fresh fold, not the cached one.
+  TraceRecorder other;
+  other.record(event_at(5 * kSecond, EventType::kBudgetViolation));
+  other.record(event_at(6 * kSecond, EventType::kBudgetViolation));
+  const Forensics against_other =
+      Forensics::build(spans, other, config.duration);
+  EXPECT_EQ(against_other.violation_events(), 2u);
+  expect_same_rollup(against_other,
+                     reference_build(spans, other, config.duration),
+                     "other recorder");
+  // ... and the hub's own recorder is served right again after it.
+  EXPECT_EQ(json(Forensics::build(spans, hub.trace(), config.duration)),
+            fresh);
+}
+
+// ------------------------------------------------------------ SLO rollup
+
+/// The SLO section as the bundle wrote it before it came from the
+/// forensics fold: one scan over every span into per-class std::map
+/// latency vectors, each fully sorted.
+std::string reference_slo_json(const SpanTracer& spans,
+                               const FlightConfig& config) {
+  struct ClassStats {
+    std::vector<double> lat_ms;
+    std::uint64_t requests = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t breaches = 0;
+  };
+  const auto percentile = [](const std::vector<double>& sorted, double p) {
+    if (sorted.empty()) return 0.0;
+    const double rank =
+        std::ceil(p / 100.0 * static_cast<double>(sorted.size()));
+    const std::size_t idx = static_cast<std::size_t>(
+        std::clamp(rank - 1.0, 0.0,
+                   static_cast<double>(sorted.size()) - 1.0));
+    return sorted[idx];
+  };
+  std::map<std::uint32_t, ClassStats> classes;
+  for (const Span& span : spans.spans()) {
+    if (span.kind != SpanKind::kRequest || span.open()) continue;
+    ClassStats& c = classes[span.url_class];
+    ++c.requests;
+    const bool completed = std::string_view(span.outcome) == "completed";
+    if (completed) ++c.completed;
+    const double lat_ms =
+        static_cast<double>(span.end - span.begin) / 1000.0;
+    c.lat_ms.push_back(lat_ms);
+    if (!completed || lat_ms > config.slo_latency_ms) ++c.breaches;
+  }
+  std::ostringstream out;
+  out << "{\"objective_ms\": ";
+  write_json_number(out, config.slo_latency_ms);
+  out << ", \"error_budget\": ";
+  write_json_number(out, config.slo_error_budget);
+  out << ", \"classes\": [";
+  bool first = true;
+  for (auto& [url_class, c] : classes) {
+    if (!first) out << ',';
+    first = false;
+    std::sort(c.lat_ms.begin(), c.lat_ms.end());
+    const double requests = static_cast<double>(c.requests);
+    const double breach_rate =
+        c.requests ? static_cast<double>(c.breaches) / requests : 0.0;
+    const double burn = config.slo_error_budget > 0.0
+                            ? breach_rate / config.slo_error_budget
+                            : 0.0;
+    out << "\n    {\"url_class\": " << url_class
+        << ", \"requests\": " << c.requests
+        << ", \"completed\": " << c.completed
+        << ", \"breaches\": " << c.breaches << ", \"p50_ms\": ";
+    write_json_number(out, percentile(c.lat_ms, 50));
+    out << ", \"p95_ms\": ";
+    write_json_number(out, percentile(c.lat_ms, 95));
+    out << ", \"p99_ms\": ";
+    write_json_number(out, percentile(c.lat_ms, 99));
+    out << ", \"compliance\": ";
+    write_json_number(out, 1.0 - breach_rate);
+    out << ", \"burn_rate\": ";
+    write_json_number(out, burn);
+    out << '}';
+  }
+  if (!classes.empty()) out << "\n  ";
+  out << "]}";
+  return out.str();
+}
+
+/// The bundle's SLO section.
+std::string slo_section(const FlightRecorder& flight) {
+  std::ostringstream out;
+  flight.write_json(out);
+  const std::string json = out.str();
+  const std::string open = "\"slo\": ";
+  const auto from = json.find(open);
+  const auto to = json.find(",\n  \"incidents\"");
+  if (from == std::string::npos || to == std::string::npos) {
+    throw std::runtime_error("bundle without an slo section");
+  }
+  return json.substr(from + open.size(), to - from - open.size());
+}
+
+TEST(FlightSlo, SectionMatchesSortedMapRollupOnARandomLog) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed);
+    SpanTracer spans;
+    TraceRecorder trace;
+    FlightConfig config;
+    config.slo_latency_ms = 40.0;
+    FlightRecorder flight(config, nullptr, &trace, &spans);
+    const char* const outcomes[] = {"completed", "completed", "completed",
+                                    "timeout", "rejected"};
+    std::vector<std::uint64_t> open;
+    std::uint64_t next_request = 1;
+    Time now = 0;
+    int checks = 0;
+    for (int step = 0; step < 4000; ++step) {
+      now += static_cast<Time>(rng() % 3) * 1000;
+      const unsigned op = static_cast<unsigned>(rng() % 100);
+      if (op < 40) {
+        Span root;
+        root.id = span_id_for(next_request++, SpanKind::kRequest);
+        root.kind = SpanKind::kRequest;
+        root.begin = now;
+        // Few classes, many latency ties (whole milliseconds).
+        root.url_class = static_cast<std::uint32_t>(rng() % 6) * 3;
+        spans.begin(root);
+        open.push_back(root.id);
+      } else if (op < 80 && !open.empty()) {
+        const std::size_t k = rng() % open.size();
+        spans.end(open[k], now, outcomes[rng() % 5]);
+        open[k] = open.back();
+        open.pop_back();
+      } else if (op < 85) {
+        flight.dump_now(now, "probe");  // a capture advances the fold
+      } else if (op < 88) {
+        Forensics::build(spans, trace, now);
+      } else if (op < 91) {
+        EXPECT_EQ(slo_section(flight), reference_slo_json(spans, config))
+            << "seed " << seed << " step " << step;
+        ++checks;
+      }
+    }
+    EXPECT_GT(checks, 50);
+    EXPECT_GT(spans.forensics().watermark(), 0u);
+    EXPECT_EQ(slo_section(flight), reference_slo_json(spans, config));
+  }
+}
+
+TEST(FlightSlo, SectionMatchesSortedMapRollupOnAScenario) {
+  Hub hub = make_flight_hub();
+  auto config = breaker_trip_scenario();
+  config.obs = &hub;
+  config.default_alert_rules = true;
+  scenario::run_scenario(config);
+  ASSERT_GT(hub.flight()->incident_count(), 0u);
+  const std::string want = reference_slo_json(*hub.spans(), FlightConfig{});
+  EXPECT_NE(want.find("\"url_class\""), std::string::npos);
+  EXPECT_EQ(slo_section(*hub.flight()), want);
+  // The export's own fold does not change the section.
+  Forensics::build(*hub.spans(), hub.trace(), config.duration);
+  EXPECT_EQ(slo_section(*hub.flight()), want);
+}
+
+TEST(FlightSlo, NoSpansMeansNullSection) {
+  TraceRecorder trace;
+  FlightRecorder flight(FlightConfig{}, nullptr, &trace, nullptr);
+  EXPECT_EQ(slo_section(flight), "null");
 }
 
 // ------------------------------------------------ post-mortem render

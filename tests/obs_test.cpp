@@ -4,10 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "obs/forensics.hpp"
 #include "obs/hub.hpp"
 #include "obs/live.hpp"
@@ -217,6 +226,277 @@ TEST(Trace, ChromeExportLabelsOneRowPerSource) {
   EXPECT_NE(json.find("\"battery\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
   EXPECT_NE(json.find("\"ts\": 20"), std::string::npos);
+}
+
+// The packed trace store against the store it replaced: a plain
+// std::vector<TraceEvent> and its writers (per-char JSON escaping
+// included), kept here as the reference. Outputs must match byte for
+// byte.
+
+void reference_json_string(std::ostream& out, std::string_view s) {
+  out << '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out << "\\\""; break;
+      case '\\': out << "\\\\"; break;
+      case '\n': out << "\\n"; break;
+      case '\r': out << "\\r"; break;
+      case '\t': out << "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(c));
+          out << buf;
+        } else {
+          out << c;
+        }
+    }
+  }
+  out << '"';
+}
+
+void reference_number(std::ostream& out, double v) {
+  if (!std::isfinite(v)) {
+    out << "null";
+    return;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.12g", v);
+  out << buf;
+}
+
+struct ReferenceTrace {
+  std::vector<TraceEvent> events;
+  std::uint64_t recorded = 0;
+  std::size_t cap = 0;
+
+  std::uint64_t dropped() const { return recorded - events.size(); }
+
+  void write_payload(std::ostream& out, const TraceEvent& e,
+                     const char* lead, bool first) const {
+    for (const auto& [key, value] : e.num) {
+      if (!first) out << lead;
+      first = false;
+      reference_json_string(out, key);
+      out << ": ";
+      reference_number(out, value);
+    }
+    for (const auto& [key, value] : e.str) {
+      if (!first) out << lead;
+      first = false;
+      reference_json_string(out, key);
+      out << ": ";
+      reference_json_string(out, value);
+    }
+  }
+
+  std::string jsonl() const {
+    std::ostringstream out;
+    for (const TraceEvent& e : events) {
+      out << "{\"t_us\": " << e.t << ", \"t_s\": ";
+      reference_number(out, to_seconds(e.t));
+      out << ", \"type\": ";
+      reference_json_string(out, event_type_name(e.type));
+      out << ", \"source\": ";
+      reference_json_string(out, e.source);
+      write_payload(out, e, ", ", false);
+      out << "}\n";
+    }
+    if (dropped() > 0) {
+      out << "{\"type\": \"TraceTruncated\", \"dropped\": " << dropped()
+          << ", \"cap\": " << cap << "}\n";
+    }
+    return out.str();
+  }
+
+  std::string chrome() const {
+    std::ostringstream out;
+    out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
+    std::map<std::string_view, int> tids;
+    for (const TraceEvent& e : events) tids.emplace(e.source, 0);
+    int next_tid = 1;
+    for (auto& [source, tid] : tids) tid = next_tid++;
+    bool first = true;
+    for (const auto& [source, tid] : tids) {
+      if (!first) out << ",\n";
+      first = false;
+      out << "{\"ph\": \"M\", \"pid\": 1, \"tid\": " << tid
+          << ", \"name\": \"thread_name\", \"args\": {\"name\": ";
+      reference_json_string(out, source);
+      out << "}}";
+    }
+    for (const TraceEvent& e : events) {
+      if (!first) out << ",\n";
+      first = false;
+      out << "{\"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": "
+          << tids[e.source] << ", \"ts\": " << e.t << ", \"name\": ";
+      reference_json_string(out, event_type_name(e.type));
+      out << ", \"args\": {";
+      write_payload(out, e, ", ", true);
+      out << "}}";
+    }
+    if (dropped() > 0) {
+      if (!first) out << ",\n";
+      out << "{\"ph\": \"i\", \"s\": \"g\", \"pid\": 1, \"tid\": 0, "
+             "\"ts\": 0, \"name\": \"TraceTruncated\", \"args\": "
+             "{\"dropped\": "
+          << dropped() << "}}";
+    }
+    out << "\n]}\n";
+    return out.str();
+  }
+};
+
+bool same_event(const TraceEventRef& got, const TraceEvent& want) {
+  if (got.t != want.t || got.type != want.type ||
+      std::string_view(got.source) != want.source ||
+      got.num.size() != want.num.size() ||
+      got.str.size() != want.str.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < want.num.size(); ++i) {
+    if (got.num[i].first != want.num[i].first) return false;
+    // Bitwise: NaN payloads must survive storage too.
+    if (std::memcmp(&got.num[i].second, &want.num[i].second,
+                    sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < want.str.size(); ++i) {
+    if (got.str[i].first != want.str[i].first ||
+        got.str[i].second != want.str[i].second) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A random string value: short literals the hot path repeats, JSON
+/// escapes and control bytes, and heap-sized values.
+std::string random_value(Rng& rng) {
+  static const char* const kCommon[] = {"default", "pdf", "budget",
+                                        "queue_full", ""};
+  if (rng() % 2 == 0) return kCommon[rng() % 5];
+  static const char kAlphabet[] =
+      "abcXYZ019 _-\"\\\n\r\t\x01\x1f\x7f\xc3\xa9/";
+  std::string s(rng() % 40, ' ');
+  for (char& c : s) c = kAlphabet[rng() % (sizeof(kAlphabet) - 1)];
+  return s;
+}
+
+void run_trace_store_differential(std::uint64_t seed, std::size_t cap,
+                                  int events) {
+  Rng rng(seed);
+  static const char* const kSources[] = {"edge", "cluster", "dpm",
+                                         "watchdog", "we\"ird\\src"};
+  static const char* const kNumKeys[] = {"server", "url_class", "source_id",
+                                         "zone", "overshoot_w", "k\"ey"};
+  static const char* const kStrKeys[] = {"pool", "reason", "rule",
+                                         "tab\tkey"};
+  static const double kSpecial[] = {
+      0.0, -0.0, 1e300, -3.5e-310, std::nan(""),
+      std::numeric_limits<double>::infinity(), 123456789.123456789};
+
+  TraceRecorder rec(TraceConfig{.max_events = cap});
+  ReferenceTrace ref;
+  ref.cap = cap;
+  std::uint64_t listened = 0;
+  const TraceEvent* current = nullptr;
+  rec.set_listener([&](const TraceEventRef& e) {
+    ++listened;
+    ASSERT_NE(current, nullptr);
+    EXPECT_TRUE(same_event(e, *current)) << "listener arg, event " << listened;
+    if (rec.recorded() <= cap) {
+      // A stored event is already the last of events() when the
+      // listener runs.
+      ASSERT_EQ(rec.events().size(), rec.recorded());
+      EXPECT_TRUE(same_event(rec.events().back(), *current))
+          << "events().back(), event " << listened;
+    } else {
+      EXPECT_EQ(rec.events().size(), cap);
+    }
+  });
+
+  Time t = 0;
+  for (int i = 0; i < events; ++i) {
+    t += static_cast<Time>(rng() % 3) * 1000;
+    {
+      // The event and its strings die right after record().
+      TraceEvent e;
+      e.t = t;
+      e.type = static_cast<EventType>(rng() % kEventTypeCount);
+      e.source = kSources[rng() % 5];
+      const std::size_t nums = rng() % (kMaxNumFields + 1);
+      for (std::size_t k = 0; k < nums; ++k) {
+        const double v =
+            rng() % 5 == 0
+                ? kSpecial[rng() % 7]
+                : static_cast<double>(static_cast<std::int64_t>(rng() % 2001) -
+                                      1000) /
+                      7.0;
+        e.num.emplace_back(kNumKeys[rng() % 6], v);
+      }
+      const std::size_t strs = rng() % (kMaxStrFields + 1);
+      for (std::size_t k = 0; k < strs; ++k) {
+        std::string value = random_value(rng);
+        e.str.emplace_back(kStrKeys[rng() % 4], value);
+      }
+      ++ref.recorded;
+      if (ref.events.size() < cap) ref.events.push_back(e);
+      current = &e;
+      rec.record(e);
+      current = nullptr;
+    }
+    // Reuse the freed memory so a dangling view would read garbage.
+    std::string scribble(64, static_cast<char>('A' + i % 26));
+    ASSERT_EQ(scribble.size(), 64u);
+  }
+
+  ASSERT_EQ(listened, static_cast<std::uint64_t>(events));
+  ASSERT_EQ(rec.recorded(), ref.recorded);
+  ASSERT_EQ(rec.events().size(), ref.events.size());
+  for (std::size_t i = 0; i < ref.events.size(); ++i) {
+    ASSERT_TRUE(same_event(rec.events()[i], ref.events[i])) << "event " << i;
+  }
+  std::ostringstream jsonl;
+  rec.write_jsonl(jsonl);
+  EXPECT_EQ(jsonl.str(), ref.jsonl());
+  std::ostringstream chrome;
+  rec.write_chrome_trace(chrome);
+  EXPECT_EQ(chrome.str(), ref.chrome());
+}
+
+TEST(Trace, PackedStoreMatchesVectorStoreByteForByte) {
+  // 20k events of up to 200 B cross many 64 KiB chunks and the first
+  // index block (16384 events).
+  run_trace_store_differential(1, 1'000'000, 20'000);
+  run_trace_store_differential(2, 1'000'000, 3'000);
+}
+
+TEST(Trace, PackedStoreMatchesVectorStorePastTheCap) {
+  run_trace_store_differential(3, 17'000, 20'000);
+  run_trace_store_differential(4, 0, 500);
+}
+
+TEST(Trace, PayloadPastItsCapIsRejected) {
+  TraceEvent e;
+  for (std::size_t k = 0; k < kMaxNumFields; ++k) e.num.emplace_back("n", 1);
+  EXPECT_THROW(e.num.emplace_back("n", 1), std::invalid_argument);
+  for (std::size_t k = 0; k < kMaxStrFields; ++k) e.str.emplace_back("s", "v");
+  EXPECT_THROW(e.str.emplace_back("s", "v"), std::invalid_argument);
+  EXPECT_EQ(e.num.size(), kMaxNumFields);
+  EXPECT_EQ(e.str.size(), kMaxStrFields);
+}
+
+TEST(Trace, EmptyRecorderExportsAnEmptyEnvelope) {
+  // Nothing recorded: the views are empty and exports are the empty
+  // envelope.
+  TraceRecorder rec;
+  EXPECT_TRUE(rec.events().empty());
+  std::ostringstream out;
+  rec.write_chrome_trace(out);
+  EXPECT_EQ(out.str(), "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n\n]}\n");
 }
 
 TEST(Trace, EveryEventTypeHasAName) {
