@@ -21,7 +21,7 @@ using workload::Catalog;
 namespace {
 
 struct Outcome {
-  double legit_heavy_p90 = 0.0;
+  double legit_heavy_p99 = 0.0;
   double legit_heavy_mean = 0.0;
   double availability = 0.0;
 };
@@ -76,10 +76,10 @@ Outcome run(bool graded) {
   Outcome out;
   const auto& latency = cluster.request_metrics().normal_latency_ms();
   // Normal latency blends light (8 ms) and heavy (80 ms) users; the
-  // p99.5 region is dominated by the legitimate heavy tail, but for a
-  // clean read we rely on the mean + p90 split: light users are fast in
-  // both designs, so differences come from the heavy users.
-  out.legit_heavy_p90 = latency.percentile(99);
+  // p99 region is dominated by the legitimate heavy tail. Light users
+  // are fast in both designs, so differences in the mean and the p99
+  // come from the heavy users.
+  out.legit_heavy_p99 = latency.percentile(99);
   out.legit_heavy_mean = latency.mean();
   out.availability = cluster.request_metrics().availability();
   return out;
@@ -101,15 +101,15 @@ int main() {
   TextTable table({"design", "normal mean (ms)", "normal p99 (ms)",
                    "availability"});
   table.row("binary suspect list", binary.legit_heavy_mean,
-            binary.legit_heavy_p90, binary.availability);
+            binary.legit_heavy_p99, binary.availability);
   table.row("graded (3 classes)", graded.legit_heavy_mean,
-            graded.legit_heavy_p90, graded.availability);
+            graded.legit_heavy_p99, graded.availability);
   table.print(std::cout);
 
   bench::shape(
       "graded pools shield legitimate heavy users from a mid-class flood "
       "(p99 collapses vs. the binary design)",
-      graded.legit_heavy_p90 < 0.25 * binary.legit_heavy_p90);
+      graded.legit_heavy_p99 < 0.25 * binary.legit_heavy_p99);
   bench::shape("graded classification also improves availability",
                graded.availability >= binary.availability - 0.005);
   return 0;

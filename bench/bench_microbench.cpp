@@ -1,13 +1,16 @@
 // Google-benchmark microbenchmarks of the simulator's hot paths: event
 // engine throughput, server queueing, least-loaded picks, generator
-// arrival scheduling, span recording, incident-time forensics, and
-// end-to-end scenario cost. These bound how large a cluster/window the
-// harness can sweep.
+// arrival scheduling, span recording, incident-time forensics, latency
+// percentile summaries, and end-to-end scenario cost. These bound how
+// large a cluster/window the harness can sweep.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "net/load_balancer.hpp"
 #include "obs/forensics.hpp"
 #include "obs/span.hpp"
@@ -302,6 +305,35 @@ void BM_ForensicsSnapshot(benchmark::State& state) {
       static_cast<double>(spans.spans().size() - builder.watermark());
 }
 BENCHMARK(BM_ForensicsSnapshot)->Arg(10'000)->Arg(1'000'000);
+
+void BM_PercentilesSummary(benchmark::State& state) {
+  // A run's latency distribution from first sample to summary: `Arg`
+  // microsecond-quantised latencies in ms (exponential, mean 20 ms) are
+  // recorded, then mean, p50/p90/p95/p99, min and max are read, in the
+  // order run_scenario reads them.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<double> latencies(n);
+  Rng rng(17);
+  for (double& x : latencies) {
+    x = std::round(rng.exponential(20.0) * 1000.0) / 1000.0;
+  }
+  for (auto _ : state) {
+    Percentiles latency;
+    for (const double x : latencies) latency.add(x);
+    double sum = latency.mean();
+    for (const double p : {50.0, 90.0, 95.0, 99.0}) {
+      sum += latency.percentile(p);
+    }
+    sum += latency.min() + latency.max();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_PercentilesSummary)
+    ->Arg(1'400'000)
+    ->Arg(2'300'000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ScenarioMinute(benchmark::State& state) {
   // End-to-end cost of one simulated minute of the evaluation cluster.

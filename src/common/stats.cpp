@@ -54,26 +54,48 @@ void Percentiles::ensure_sorted() const {
   if (!sorted_) {
     std::sort(samples_.begin(), samples_.end());
     sorted_ = true;
+    placed_.clear();
   }
+}
+
+double Percentiles::order_statistic(std::size_t k) const {
+  if (sorted_) return samples_[k];
+  const auto at = std::lower_bound(placed_.begin(), placed_.end(), k);
+  if (at != placed_.end() && *at == k) return samples_[k];
+  // Rank k lies between the placed positions on either side of it.
+  const std::size_t lo = at == placed_.begin() ? 0 : *(at - 1) + 1;
+  const std::size_t hi = at == placed_.end() ? samples_.size() : *at;
+  const auto pos = [this](std::size_t i) {
+    return samples_.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  if (k == lo) {
+    std::iter_swap(pos(k), std::min_element(pos(lo), pos(hi)));
+  } else if (k + 1 == hi) {
+    std::iter_swap(pos(k), std::max_element(pos(lo), pos(hi)));
+  } else {
+    std::nth_element(pos(lo), pos(k), pos(hi));
+  }
+  placed_.insert(at, k);
+  return samples_[k];
 }
 
 double Percentiles::percentile(double p) const {
   DOPE_REQUIRE(p >= 0.0 && p <= 100.0, "percentile rank out of range");
-  if (samples_.empty()) return 0.0;
-  ensure_sorted();
-  if (samples_.size() == 1) return samples_.front();
-  const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
+  const std::size_t n = samples_.size();
+  if (n == 0) return 0.0;
+  if (n == 1) return samples_[0];
+  const double rank = p / 100.0 * static_cast<double>(n - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
+  const std::size_t hi = std::min(lo + 1, n - 1);
   const double frac = rank - static_cast<double>(lo);
-  return samples_[lo] + frac * (samples_[hi] - samples_[lo]);
+  const double at_lo = order_statistic(lo);
+  const double at_hi = order_statistic(hi);
+  return at_lo + frac * (at_hi - at_lo);
 }
 
 double Percentiles::mean() const {
   if (samples_.empty()) return 0.0;
-  double sum = 0.0;
-  for (double s : samples_) sum += s;
-  return sum / static_cast<double>(samples_.size());
+  return sum_ / static_cast<double>(samples_.size());
 }
 
 double Percentiles::cdf_at(double x) const {
@@ -84,7 +106,7 @@ double Percentiles::cdf_at(double x) const {
          static_cast<double>(samples_.size());
 }
 
-const std::vector<double>& Percentiles::sorted_samples() const {
+const Percentiles::Samples& Percentiles::sorted_samples() const {
   ensure_sorted();
   return samples_;
 }

@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/block_log.hpp"
+
 namespace dope {
 
 /// Numerically stable streaming mean/variance/min/max (Welford's method).
@@ -33,15 +35,29 @@ class OnlineStats {
   double max_ = 0.0;
 };
 
-/// Exact percentile computation over a retained sample vector.
+/// Exact percentile computation over retained samples.
 ///
 /// Retains every sample; intended for per-run metric collection where the
-/// sample count is bounded by the number of simulated requests. Percentiles
-/// use linear interpolation between closest ranks (the "inclusive" method).
+/// sample count is bounded by the number of simulated requests. Samples
+/// live in fixed blocks, so recording never copies earlier samples.
+/// Percentiles use linear interpolation between closest ranks (the
+/// "inclusive" method). The two order statistics each one reads are found
+/// by in-place selection: every position a query places is remembered,
+/// so a later query partitions only the span between two placed
+/// positions. `cdf_at` and `sorted_samples` sort the whole set.
 class Percentiles {
  public:
-  void add(double x) { samples_.push_back(x); sorted_ = false; }
-  void reserve(std::size_t n) { samples_.reserve(n); }
+  /// 2^17 samples (1 MiB) per storage block: a run of a few million
+  /// samples then makes fewer allocations than a doubling vector would,
+  /// and the pages of a block are touched only as samples land in them.
+  using Samples = common::BlockLog<double, 17>;
+
+  void add(double x) {
+    samples_.push_back(x);
+    sum_ += x;
+    sorted_ = false;
+    placed_.clear();
+  }
 
   std::size_t count() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
@@ -49,6 +65,7 @@ class Percentiles {
   /// p in [0, 100]. Returns 0 for an empty sample set.
   double percentile(double p) const;
   double median() const { return percentile(50.0); }
+  /// Sum in insertion order over the count; 0 for an empty sample set.
   double mean() const;
   double min() const { return percentile(0.0); }
   double max() const { return percentile(100.0); }
@@ -56,14 +73,21 @@ class Percentiles {
   /// Empirical CDF evaluated at `x`: fraction of samples <= x.
   double cdf_at(double x) const;
 
-  /// The sorted sample vector (useful for exporting full CDFs).
-  const std::vector<double>& sorted_samples() const;
+  /// Every sample in ascending order (useful for exporting full CDFs).
+  const Samples& sorted_samples() const;
 
  private:
   void ensure_sorted() const;
+  /// The k-th smallest sample, moved to position k by selection.
+  double order_statistic(std::size_t k) const;
 
-  mutable std::vector<double> samples_;
+  // Queries reorder the samples, never add or drop one.
+  mutable Samples samples_;
+  double sum_ = 0.0;
   mutable bool sorted_ = true;
+  /// Ascending positions already holding their order statistic, with
+  /// nothing larger before and nothing smaller after them.
+  mutable std::vector<std::size_t> placed_;
 };
 
 /// One (x, F(x)) point of an empirical CDF.

@@ -23,10 +23,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <iterator>
 #include <memory>
 #include <vector>
 
+#include "common/block_log.hpp"
 #include "common/units.hpp"
 
 namespace dope::obs {
@@ -174,63 +174,11 @@ class FlatIndex {
   unsigned shift_ = 64;
 };
 
-/// The span log: fixed blocks of 2^14 spans, each reserved when the
-/// first span lands in it. Appending never copies earlier spans or
-/// moves them in memory, and an empty log holds no span storage.
-class SpanLog {
+/// The span log: fixed blocks of 2^14 spans, each allocated when the
+/// first span lands in it (see `common::BlockLog`).
+class SpanLog : public common::BlockLog<Span, 14> {
  public:
-  static constexpr std::size_t kBlockBits = 14;
-  static constexpr std::size_t kBlockSpans = std::size_t{1} << kBlockBits;
-
-  class const_iterator {
-   public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = Span;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const Span*;
-    using reference = const Span&;
-
-    const_iterator() = default;
-    const_iterator(const SpanLog* log, std::size_t i) : log_(log), i_(i) {}
-    reference operator*() const { return (*log_)[i_]; }
-    pointer operator->() const { return &(*log_)[i_]; }
-    const_iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    bool operator==(const const_iterator& other) const {
-      return i_ == other.i_;
-    }
-    bool operator!=(const const_iterator& other) const {
-      return i_ != other.i_;
-    }
-
-   private:
-    const SpanLog* log_ = nullptr;
-    std::size_t i_ = 0;
-  };
-
-  std::size_t size() const { return size_; }
-  const Span& operator[](std::size_t i) const {
-    return blocks_[i >> kBlockBits][i & (kBlockSpans - 1)];
-  }
-  Span& operator[](std::size_t i) {
-    return blocks_[i >> kBlockBits][i & (kBlockSpans - 1)];
-  }
-  const_iterator begin() const { return {this, 0}; }
-  const_iterator end() const { return {this, size_}; }
-
-  void push_back(const Span& span) {
-    if ((size_ & (kBlockSpans - 1)) == 0) {
-      blocks_.emplace_back().reserve(kBlockSpans);
-    }
-    blocks_.back().push_back(span);
-    ++size_;
-  }
-
- private:
-  std::vector<std::vector<Span>> blocks_;
-  std::size_t size_ = 0;
+  static constexpr std::size_t kBlockSpans = kBlockSize;
 };
 
 class ForensicsBuilder;

@@ -2,10 +2,14 @@
 // histograms, CSV, tables, and the parallel sweep helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "common/csv.hpp"
 #include "common/expect.hpp"
@@ -244,6 +248,214 @@ TEST(Percentiles, SortedSamplesAreSorted) {
   for (double x : {3.0, 1.0, 2.0}) p.add(x);
   const auto& sorted = p.sorted_samples();
   EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
+}
+
+TEST(Percentiles, MeanDoesNotDependOnQueryOrder) {
+  // Summed in insertion order the mean is 0.25; summed in sorted order
+  // (what a sort-then-sum would give after a percentile query) it is 0.
+  Percentiles p;
+  for (double x : {1e16, 1.0, -1e16, 1.0}) p.add(x);
+  const double before = p.mean();
+  EXPECT_DOUBLE_EQ(before, 0.25);
+  p.median();
+  p.cdf_at(0.0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(p.mean()),
+            std::bit_cast<std::uint64_t>(before));
+}
+
+// ------------------------------------------- percentiles vs. sorted vector
+
+/// The retained-vector implementation that block storage and selection
+/// replaced: one growing vector, sorted whole on the first query. Every
+/// reported number must keep its exact bits against it.
+class SortedVectorPercentiles {
+ public:
+  void add(double x) {
+    samples_.push_back(x);
+    sorted_ = false;
+  }
+  std::size_t count() const { return samples_.size(); }
+  double percentile(double p) {
+    if (samples_.empty()) return 0.0;
+    ensure_sorted();
+    if (samples_.size() == 1) return samples_.front();
+    const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return samples_[lo] + frac * (samples_[hi] - samples_[lo]);
+  }
+  /// Sums in storage order: insertion order until the first query.
+  double mean() const {
+    if (samples_.empty()) return 0.0;
+    double sum = 0.0;
+    for (double s : samples_) sum += s;
+    return sum / static_cast<double>(samples_.size());
+  }
+  double cdf_at(double x) {
+    if (samples_.empty()) return 0.0;
+    ensure_sorted();
+    const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
+    return static_cast<double>(it - samples_.begin()) /
+           static_cast<double>(samples_.size());
+  }
+  const std::vector<double>& sorted_samples() {
+    ensure_sorted();
+    return samples_;
+  }
+
+ private:
+  void ensure_sorted() {
+    if (!sorted_) {
+      std::sort(samples_.begin(), samples_.end());
+      sorted_ = true;
+    }
+  }
+
+  std::vector<double> samples_;
+  bool sorted_ = true;
+};
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+constexpr std::size_t kPctBlock = Percentiles::Samples::kBlockSize;
+
+/// Block-boundary sizes: empty, tiny, either side of one block, and a
+/// partial fourth block.
+const std::size_t kPctSizes[] = {0,         1,         2,
+                                 kPctBlock - 1, kPctBlock, kPctBlock + 1,
+                                 3 * kPctBlock + 7};
+
+/// Half the samples sit on a coarse grid (many duplicates), half are
+/// continuous; about a quarter of each are negative. Zero appears only
+/// as +0.0: sort and selection may order a mixed +-0.0 tie differently.
+double differential_sample(Rng& rng) {
+  const bool negative = rng.uniform() < 0.25;
+  if (rng.uniform() < 0.5) {
+    const double grid = 0.5 * static_cast<double>(rng.uniform_int(0, 40));
+    return negative ? -(grid + 0.5) : grid;
+  }
+  const double x = rng.exponential(20.0);
+  return negative ? -(x + 1e-3) : x;
+}
+
+void fill_both(Percentiles& got, SortedVectorPercentiles& want,
+               std::size_t n, Rng& rng) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = differential_sample(rng);
+    got.add(x);
+    want.add(x);
+  }
+}
+
+void expect_ranks(const Percentiles& got, SortedVectorPercentiles& want,
+                  std::initializer_list<double> ranks) {
+  for (const double p : ranks) {
+    EXPECT_EQ(bits_of(got.percentile(p)), bits_of(want.percentile(p)))
+        << "p" << p << " over " << want.count() << " samples";
+  }
+}
+
+TEST(PercentilesDifferential, SummaryRanksMatchSortedVector) {
+  std::uint64_t seed = 1;
+  for (const std::size_t n : kPctSizes) {
+    Rng rng(seed++);
+    Percentiles got;
+    SortedVectorPercentiles want;
+    fill_both(got, want, n, rng);
+    ASSERT_EQ(got.count(), n);
+    const double mean = got.mean();
+    EXPECT_EQ(bits_of(mean), bits_of(want.mean())) << n << " samples";
+
+    // A run summary's order, then min/max/median through their names.
+    expect_ranks(got, want, {50, 90, 95, 99, 0, 100});
+    EXPECT_EQ(bits_of(got.min()), bits_of(want.percentile(0)));
+    EXPECT_EQ(bits_of(got.max()), bits_of(want.percentile(100)));
+    EXPECT_EQ(bits_of(got.median()), bits_of(want.percentile(50)));
+    // Repeated and descending ranks, then ranks in no order.
+    expect_ranks(got, want, {50, 50, 99.9, 99, 95, 75, 50, 25, 10, 1, 0.1});
+    for (int i = 0; i < 20; ++i) {
+      const double p = 100.0 * rng.uniform();
+      expect_ranks(got, want, {p});
+    }
+    EXPECT_EQ(bits_of(got.mean()), bits_of(mean))
+        << "the mean moved after percentile queries";
+  }
+}
+
+TEST(PercentilesDifferential, AddAfterQueryMatchesSortedVector) {
+  std::uint64_t seed = 100;
+  for (const std::size_t n : kPctSizes) {
+    Rng rng(seed++);
+    Percentiles got;
+    SortedVectorPercentiles want;
+    fill_both(got, want, n, rng);
+    expect_ranks(got, want, {50, 99, 0, 100});
+    // New extremes and a duplicate of a placed value land after the
+    // query; every placed position is stale now.
+    for (const double x : {-1e6, 1e6, got.percentile(50)}) {
+      got.add(x);
+      want.add(x);
+    }
+    expect_ranks(got, want, {0, 50, 99, 100, 90});
+    fill_both(got, want, n / 3 + 1, rng);
+    expect_ranks(got, want, {100, 95, 50, 5, 0});
+  }
+}
+
+TEST(PercentilesDifferential, CdfAndSortedSamplesAfterSelection) {
+  std::uint64_t seed = 200;
+  for (const std::size_t n : kPctSizes) {
+    Rng rng(seed++);
+    Percentiles got;
+    SortedVectorPercentiles want;
+    fill_both(got, want, n, rng);
+    expect_ranks(got, want, {50, 90, 0, 100});
+    for (const double x : {-1e9, -3.0, -0.5, 0.0, 0.5, 7.25, 20.0, 1e9}) {
+      EXPECT_EQ(bits_of(got.cdf_at(x)), bits_of(want.cdf_at(x)))
+          << "cdf_at(" << x << ") over " << n << " samples";
+    }
+    const auto& sorted = got.sorted_samples();
+    const auto& reference = want.sorted_samples();
+    ASSERT_EQ(sorted.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      ASSERT_EQ(bits_of(sorted[i]), bits_of(reference[i])) << "rank " << i;
+    }
+    // Ranks read the sorted set directly; an add unsorts it again.
+    expect_ranks(got, want, {25, 75});
+    fill_both(got, want, 5, rng);
+    expect_ranks(got, want, {75, 25, 100});
+  }
+}
+
+TEST(PercentilesDifferential, CopyAndMoveKeepTheDistribution) {
+  Rng rng(300);
+  Percentiles got;
+  SortedVectorPercentiles want;
+  fill_both(got, want, 3 * kPctBlock + 7, rng);
+  expect_ranks(got, want, {50, 99});  // copies carry placed positions
+
+  Percentiles copy(got);
+  expect_ranks(copy, want, {0, 90, 100, 50, 99});
+  expect_ranks(got, want, {95, 10});
+  EXPECT_EQ(bits_of(copy.mean()), bits_of(got.mean()));
+
+  Percentiles assigned;
+  assigned.add(1.0);
+  assigned = copy;
+  expect_ranks(assigned, want, {1, 50, 99.5});
+
+  Percentiles moved(std::move(copy));
+  expect_ranks(moved, want, {100, 0, 42});
+  Percentiles move_assigned;
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned.count(), want.count());
+  expect_ranks(move_assigned, want, {99, 50, 90, 95});
+
+  // A copy is independent: adding to it leaves the original alone.
+  assigned.add(1e9);
+  expect_ranks(got, want, {100});
+  EXPECT_EQ(assigned.max(), 1e9);
 }
 
 TEST(MakeCdf, ProducesMonotoneCurve) {
